@@ -98,6 +98,7 @@ from .solver import (
     find_model,
     random_formula,
     random_structure,
+    smallest_model,
 )
 from .verify import VerificationReport, pipeline_verify
 

@@ -2,8 +2,8 @@
 export.
 
 Exit codes: 0 success/satisfiable, 1 no model up to the bound (or a false
-check), 2 budget exhausted, 64 usage error, 65 parse error, 70 internal
-assertion failure.
+check), 2 budget exhausted, 64 usage error (including an unreadable input
+file), 65 parse error, 70 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -64,15 +64,17 @@ def _signature(args: argparse.Namespace) -> Signature:
 def _budget(args: argparse.Namespace) -> SearchBudget:
     default = int(os.environ.get("FINSAT_BOUND", "6"))
     bound = args.bound if getattr(args, "bound", None) else default
-    seed = getattr(args, "seed", 0) or 0
-    return SearchBudget(max_size=bound, seed=seed)
+    return SearchBudget(max_size=bound)
 
 
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise LogicError(f"cannot read {path}: {e}") from e
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -150,7 +152,11 @@ def cmd_verify_pipeline(args: argparse.Namespace) -> int:
     f = parse_formula(_read(args.formula), sig)
     report = pipeline_verify(f, sig, args.logic, _budget(args))
     print(report.render(), end="")
-    return EXIT_OK if report.ok else EXIT_INTERNAL
+    if not report.ok:
+        return EXIT_INTERNAL
+    if any(s.status == "unknown" for s in report.stages):
+        return EXIT_UNKNOWN
+    return EXIT_OK
 
 
 def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
@@ -233,20 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--to", choices=("standard", "basic", "transitive", "spread"), required=True)
     p.add_argument("--bound", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("decide", help="bounded satisfiability decision")
     common(p)
     p.add_argument("--bound", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "document"), default="text")
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("verify-pipeline", help="run every transformation with checks")
     common(p)
     p.add_argument("--bound", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify_pipeline)
 
     p = sub.add_parser("factorize", help="factorize a structure document")

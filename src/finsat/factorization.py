@@ -177,10 +177,6 @@ class Factorization:
     def less(self, i: int, j: int) -> bool:
         return (i, j) in self.order
 
-    def approx(self, i: int, j: int) -> bool:
-        """Distinct and incomparable in the block order."""
-        return i != j and (i, j) not in self.order and (j, i) not in self.order
-
     def is_unit(self, i: int) -> bool:
         return len(self.blocks[i]) == 1
 

@@ -84,9 +84,6 @@ class Signature:
     def with_unary(self, names: tuple[str, ...]) -> "Signature":
         return Signature(self.unary + names, self.binary, self.dist)
 
-    def without_binary(self) -> "Signature":
-        return Signature(self.unary, (), self.dist)
-
     def one_type_keys(self) -> tuple[tuple[str, ...], ...]:
         """Atom keys deciding a 1-type, in bit order.
 
@@ -100,10 +97,6 @@ class Signature:
         if self.dist is DistKind.TRANSITIVE:
             keys.append(("tdiag",))
         return tuple(keys)
-
-    def cross_keys(self) -> tuple[str, ...]:
-        """Ordinary binary predicates, whose cross atoms a 2-type decides."""
-        return self.binary
 
     def arity(self, name: str) -> int:
         if name in self.unary:
@@ -756,10 +749,6 @@ def two_type_of(s: Structure, a: int, b: int) -> TwoType:
     elif s.sig.dist is DistKind.TRANSITIVE:
         nav = ((a, b) in s.dist, (b, a) in s.dist)
     return TwoType(s.sig, one_type_of(s, a), one_type_of(s, b), cross, nav)
-
-
-def semi_diagonal_type_of(s: Structure, a: int, b: int) -> SemiDiagonalTwoType:
-    return two_type_of(s, a, b).semi_diagonal()
 
 
 def enumerate_nav(sig: Signature, x: OneType, y: OneType) -> tuple[Nav, ...]:

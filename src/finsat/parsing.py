@@ -59,6 +59,12 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
 
+#: Deepest nesting of parentheses, negations, quantifiers and implications
+#: that the parser accepts.  The parser and the formula walkers run after it
+#: (simplify, print_formula, the normal forms, the engines) recurse once or
+#: more per level, so this keeps them all under Python's recursion limit.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -97,6 +103,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -105,6 +112,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nested(self, parse, tok: _Token) -> Formula:
+        """Run a sub-parser one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", tok.span)
+        f = parse()
+        self.depth -= 1
+        return f
 
     def expect(self, text: str) -> _Token:
         tok = self.take()
@@ -130,8 +146,8 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek().text == "->":
-            self.take()
-            return Implies(left, self.implication())
+            tok = self.take()
+            return Implies(left, self.nested(self.implication, tok))
         return left
 
     def disjunction(self) -> Formula:
@@ -152,11 +168,11 @@ class _Parser:
         tok = self.peek()
         if tok.text == "!":
             self.take()
-            return neg(self.unary())
+            return neg(self.nested(self.unary, tok))
         if tok.text in ("forall", "exists"):
             self.take()
             var = self.variable()
-            body = self.unary()
+            body = self.nested(self.unary, tok)
             return Forall(var, body) if tok.text == "forall" else Exists(var, body)
         return self.primary()
 
@@ -170,7 +186,7 @@ class _Parser:
         tok = self.peek()
         if tok.text == "(":
             self.take()
-            f = self.formula()
+            f = self.nested(self.formula, tok)
             self.expect(")")
             return f
         if tok.text == "true":

@@ -424,10 +424,6 @@ class CourtLabelling:
     q_preds: tuple[str, ...]
     qh_preds: tuple[tuple[str, ...], ...]  # per witness index
 
-    @property
-    def n_kings(self) -> int:
-        return len(self.kings)
-
     def court_label(self, i: int, var: str = "x") -> Formula:
         return labelling_formula(self.q_preds, i, var)
 

@@ -4,13 +4,14 @@ Two exhaustive engines sit behind find_model.  The typed engine assigns
 1-types to elements (in nondecreasing order, which breaks the full element
 permutation symmetry while staying exhaustive up to isomorphism) and then
 2-types to pairs, propagating the distinguished relation's constraints and
-filtering against the universal part pair by pair.  The grounded engine
-translates the formula and the distinguished relation's axioms into
-propositional clauses over the fixed domain and runs a systematic
-backtracking search with unit propagation; it exists because signatures
-produced by the binary-elimination pipeline are too wide to enumerate
-1-types up front.  Every model found is re-verified with evaluate before it
-is returned.
+filtering against the universal part pair by pair; it enumerates every pair
+alternative directly, so it takes only signatures with few 1-types and few
+pair alternatives.  The grounded engine translates the formula and the
+distinguished relation's axioms into propositional clauses over the fixed
+domain and runs a systematic backtracking search with unit propagation; it
+takes every wider signature, such as those produced by binary elimination
+and the clique reduction.  Every model found is re-verified with evaluate
+before it is returned.  smallest_model tries sizes 2..max_size in order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .logic import (
     Formula,
     Implies,
     LogicError,
-    Nav,
     NavKind,
     Not,
     OneType,
@@ -51,10 +51,11 @@ from .logic import (
     neg,
     simplify,
     substitute,
-    swap_xy,
 )
+from .factorization import transitive_closure
 from .normal_forms import (
     _find_single_positive_exists,
+    _orient,
     _replace_subformula,
     strip_distinct_eq,
 )
@@ -64,15 +65,10 @@ class BudgetExceeded(LogicError):
     """Raised internally when a search exhausts its node budget."""
 
 
-class _AltExplosion(LogicError):
-    """The pair-alternative space is too dense for the typed engine."""
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     max_size: int = 6
     node_limit: int = 5_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_size < 2:
@@ -118,10 +114,6 @@ class _Shape:
     thetas: list[Formula] = field(default_factory=list)  # AxEy(x!=y & theta)
     exist1: list[Formula] = field(default_factory=list)
     residual: list[Formula] = field(default_factory=list)
-
-
-def _orient(f: Formula, u: str, v: str) -> Formula:
-    return f if (u, v) == ("x", "y") else swap_xy(f)
 
 
 def _push_body(body: Formula) -> Formula:
@@ -259,9 +251,9 @@ def _collect_usage(f: Formula, sig: Signature, use: _Usage) -> None:
         if f.pred in sig.unary:
             use.unary.add(f.pred)
         elif f.pred in sig.binary:
-            if len(set(f.args)) == 1:
-                use.diag.add(f.pred)
-            else:
+            # Two distinct variables may still denote one element.
+            use.diag.add(f.pred)
+            if len(set(f.args)) > 1:
                 use.cross.add(f.pred)
         elif f.pred in ("<", "~"):
             use.nav = True
@@ -327,10 +319,6 @@ class _TypedEngine:
         self._reach_mask: dict[int, int] = {}
         self._suffix: dict[int, list[int]] = {}
 
-    @property
-    def n_candidate_types(self) -> int:
-        return len(self.types)
-
     def _cross_choices(self):
         per = []
         for r in self.sig.binary:
@@ -358,29 +346,24 @@ class _TypedEngine:
         """Allowed 2-type completions for an ordered pair of 1-type codes,
         with bitmasks of the witness conjuncts each direction satisfies.
 
-        Small alternative spaces are enumerated directly; wide ones (many
-        active binary predicates) are enumerated as the solutions of the
-        universal constraint, which is what keeps label-heavy signatures
-        tractable."""
+        Every alternative of the active cross and navigation bits is
+        enumerated and kept if the universal part holds in both
+        orientations; find_model sends signatures with more alternatives
+        than this can afford to the grounded engine."""
         hit = self._pair_cache.get((ti, tj))
         if hit is not None:
             return hit
         tx, ty = self.types[ti], self.types[tj]
-        space = 4 ** sum(1 for r in self.sig.binary if r in self.usage.cross)
-        if space > 256 and self.shape.universal2:
-            by_pair = self._global_pair_solutions()
-            taus = by_pair.get((ti, tj), [])
-        else:
-            taus = []
-            for cross in itertools.product(*self._cross_choices()):
-                for nav in self._nav_choices(tx, ty):
-                    tau = TwoType(self.sig, tx, ty, cross, nav)
-                    if self.shape.universal2 and not (
-                        eval_on_pair_type(self.u2, tau)
-                        and eval_on_pair_type(self.u2, tau.swap())
-                    ):
-                        continue
-                    taus.append(tau)
+        taus = []
+        for cross in itertools.product(*self._cross_choices()):
+            for nav in self._nav_choices(tx, ty):
+                tau = TwoType(self.sig, tx, ty, cross, nav)
+                if self.shape.universal2 and not (
+                    eval_on_pair_type(self.u2, tau)
+                    and eval_on_pair_type(self.u2, tau.swap())
+                ):
+                    continue
+                taus.append(tau)
         entries = []
         for tau in taus:
             fwd = 0
@@ -394,31 +377,6 @@ class _TypedEngine:
             entries.append((tau, fwd, bwd))
         self._pair_cache[(ti, tj)] = entries
         return entries
-
-    def _global_pair_solutions(self) -> dict[tuple[int, int], list[TwoType]]:
-        """One all-solutions pass over the universal constraint with both
-        endpoint types and the pair bits free, grouped by type pair."""
-        if hasattr(self, "_global_pairs"):
-            return self._global_pairs
-        sols = _enumerate_pair_solutions(
-            conj(tuple(self.shape.universal1)),
-            self.u2,
-            self.sig,
-            self.usage,
-            self.budget,
-        )
-        code_of = {tp.bits: i for i, tp in enumerate(self.types)}
-        out: dict[tuple[int, int], list[TwoType]] = {}
-        for tau in sols:
-            ti = code_of.get(tau.x.bits)
-            tj = code_of.get(tau.y.bits)
-            if ti is None or tj is None:
-                continue
-            out.setdefault((ti, tj), []).append(tau)
-        for taus in out.values():
-            taus.sort(key=_tau_key)
-        self._global_pairs = out
-        return out
 
     def _reachable_mask(self, ti: int) -> int:
         """Union of witness masks achievable by type ti with any partner."""
@@ -867,105 +825,6 @@ class _GroundEngine:
                 trail.append(d[0])
                 ok = propagate(d[2])
 
-    def _solve_all(self, proj_vars: list[int]) -> list[tuple[bool, ...]]:
-        """All satisfying assignments projected onto the given variables.
-
-        The projection variables are branched first; with two-sided
-        definitions every completion of a projection is forced, so each
-        model reached yields a distinct projection and the search resumes
-        as if from a conflict."""
-        n_vars = self.n_vars
-        pos_occ: list[list[int]] = [[] for _ in range(n_vars + 1)]
-        neg_occ: list[list[int]] = [[] for _ in range(n_vars + 1)]
-        clauses = self.clauses
-        for ci, cl in enumerate(clauses):
-            for lit in cl:
-                (pos_occ if lit > 0 else neg_occ)[abs(lit)].append(ci)
-        assign = [0] * (n_vars + 1)
-        trail: list[int] = []
-
-        def set_lit(lit: int) -> bool:
-            v, val = abs(lit), 1 if lit > 0 else -1
-            if assign[v] != 0:
-                return assign[v] == val
-            assign[v] = val
-            trail.append(v)
-            return True
-
-        def propagate(start: int) -> bool:
-            qi = start
-            while qi < len(trail):
-                v = trail[qi]
-                qi += 1
-                watch = neg_occ[v] if assign[v] > 0 else pos_occ[v]
-                for ci in watch:
-                    unit = 0
-                    satisfied = False
-                    unassigned = 0
-                    for lit in clauses[ci]:
-                        a = assign[abs(lit)]
-                        if a == 0:
-                            unassigned += 1
-                            unit = lit
-                            if unassigned > 1:
-                                break
-                        elif (a > 0) == (lit > 0):
-                            satisfied = True
-                            break
-                    if satisfied or unassigned > 1:
-                        continue
-                    if unassigned == 0:
-                        return False
-                    if not set_lit(unit):
-                        return False
-            return True
-
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                assign[trail.pop()] = 0
-
-        for cl in clauses:
-            if len(cl) == 1 and not set_lit(cl[0]):
-                return []
-        if not propagate(0):
-            return []
-        proj_set = set(proj_vars)
-        order = list(proj_vars) + [
-            v for v in range(1, n_vars + 1) if v not in proj_set
-        ]
-        solutions: list[tuple[bool, ...]] = []
-        decisions: list[list[int]] = []
-        while True:
-            v = next((w for w in order if assign[w] == 0), 0)
-            ok = True
-            if v == 0:
-                solutions.append(tuple(assign[p] > 0 for p in proj_vars))
-                if len(solutions) > 4096:
-                    raise _AltExplosion("pair alternative enumeration exploded")
-                ok = False  # resume as if from a conflict
-            else:
-                self.nodes += 1
-                if self.nodes > self.budget.node_limit:
-                    raise BudgetExceeded(
-                        f"grounded search exceeded {self.budget.node_limit} nodes"
-                    )
-                mark = len(trail)
-                decisions.append([v, 0, mark])
-                assign[v] = -1
-                trail.append(v)
-                ok = propagate(mark)
-            while not ok:
-                while decisions and decisions[-1][1] == 1:
-                    undo(decisions.pop()[2])
-                if not decisions:
-                    return solutions
-                d = decisions[-1]
-                undo(d[2])
-                d[1] = 1
-                assign[d[0]] = 1
-                trail.append(d[0])
-                ok = propagate(d[2])
-
     def _decode(self, assign: list[int]) -> Structure:
         unary = {p: set() for p in self.sig.unary}
         binary = {r: set() for r in self.sig.binary}
@@ -986,108 +845,6 @@ class _GroundEngine:
             {r: frozenset(s) for r, s in binary.items()},
             frozenset(dist),
         )
-
-
-def _tau_key(tau: TwoType):
-    nav = tau.nav
-    if isinstance(nav, NavKind):
-        nav_key: tuple = (nav.value,)
-    elif isinstance(nav, tuple):
-        nav_key = nav
-    else:
-        nav_key = ()
-    return (tau.cross, nav_key)
-
-
-def _enumerate_pair_solutions(
-    u1: Formula,
-    u2: Formula,
-    sig: Signature,
-    usage: _Usage,
-    budget: SearchBudget,
-) -> list[TwoType]:
-    """All 2-types over a pair of elements satisfying the per-element
-    constraint on both endpoints and the universal constraint in both
-    orientations, via an all-solutions search over the active bits."""
-    eng = _GroundEngine(TRUE, sig, budget)
-    eng.n = 2
-    eng.var_of = {}
-    eng.clauses = []
-    eng.n_vars = 0
-    proj: list[tuple] = []
-    for elem in (0, 1):
-        for key in sig.one_type_keys():
-            if key[0] == "u":
-                atom_key = ("u", key[1], elem)
-                active = key[1] in usage.unary
-            elif key[0] == "diag":
-                atom_key = ("b", key[1], elem, elem)
-                active = key[1] in usage.diag
-            else:
-                atom_key = ("t", elem, elem)
-                active = usage.t_diag
-            if active:
-                proj.append(atom_key)
-            else:
-                eng.clauses.append((-eng._var(atom_key),))
-    for r in sig.binary:
-        if r in usage.cross:
-            proj.append(("b", r, 0, 1))
-            proj.append(("b", r, 1, 0))
-    if sig.dist is DistKind.PARTIAL_ORDER and usage.nav:
-        proj += [("lt", 0, 1), ("lt", 1, 0)]
-    if sig.dist is DistKind.TRANSITIVE and usage.t_cross:
-        proj += [("t", 0, 1), ("t", 1, 0)]
-    proj_vars = [eng._var(k) for k in proj]
-    roots = [
-        eng._node(u2, {"x": 0, "y": 1}, True),
-        eng._node(u2, {"x": 1, "y": 0}, True),
-        eng._node(u1, {"x": 0}, True),
-        eng._node(u1, {"x": 1}, True),
-    ]
-    for root in roots:
-        if root is False:
-            return []
-        if root is not True:
-            eng.clauses.append((eng._cnfify(root),))
-    eng._axioms()
-    solutions = eng._solve_all(proj_vars)
-    keys = sig.one_type_keys()
-    out = []
-    for bits in solutions:
-        vals = dict(zip(proj, bits))
-
-        def type_bits(elem: int) -> tuple[bool, ...]:
-            row = []
-            for key in keys:
-                if key[0] == "u":
-                    row.append(vals.get(("u", key[1], elem), False))
-                elif key[0] == "diag":
-                    row.append(vals.get(("b", key[1], elem, elem), False))
-                else:
-                    row.append(vals.get(("t", elem, elem), False))
-            return tuple(row)
-
-        tx = OneType(sig, type_bits(0))
-        ty = OneType(sig, type_bits(1))
-        cross = tuple(
-            (
-                vals.get(("b", r, 0, 1), False),
-                vals.get(("b", r, 1, 0), False),
-            )
-            for r in sig.binary
-        )
-        nav: Nav = None
-        if sig.dist is DistKind.PARTIAL_ORDER:
-            lt01 = vals.get(("lt", 0, 1), False)
-            lt10 = vals.get(("lt", 1, 0), False)
-            nav = (
-                NavKind.LT if lt01 else NavKind.GT if lt10 else NavKind.SIM
-            )
-        elif sig.dist is DistKind.TRANSITIVE:
-            nav = (vals.get(("t", 0, 1), False), vals.get(("t", 1, 0), False))
-        out.append(TwoType(sig, tx, ty, cross, nav))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1125,8 +882,9 @@ def find_model(
     """A model of exactly the given size, or None after exhaustive search.
 
     Exhaustive up to isomorphism at each size; any model returned has been
-    verified with evaluate.  The typed engine handles narrow signatures;
-    wide ones (where enumerating 1-types up front is hopeless) go to the
+    verified with evaluate.  With engine="auto", the typed engine takes a
+    formula whose candidate 1-types, pair alternatives and witness
+    conjuncts are all within its limits; every other formula goes to the
     grounded engine.
     """
     if size < 2:
@@ -1134,22 +892,30 @@ def find_model(
     budget = budget or SearchBudget()
     if engine == "auto":
         n_types, n_alts = _typed_scale(phi, sig)
-        if n_types <= _TYPED_TYPE_LIMIT:
+        if n_types <= _TYPED_TYPE_LIMIT and n_alts <= _TYPED_ALT_LIMIT:
             typed = _TypedEngine(phi, sig, budget)
-            dense_but_constrained = n_alts > _TYPED_ALT_LIMIT and typed.shape.universal2
-            if len(typed.shape.thetas) <= _TYPED_WITNESS_LIMIT and (
-                n_alts <= _TYPED_ALT_LIMIT or dense_but_constrained
-            ):
-                try:
-                    return typed.run(size)
-                except _AltExplosion:
-                    pass
+            if len(typed.shape.thetas) <= _TYPED_WITNESS_LIMIT:
+                return typed.run(size)
         return _GroundEngine(phi, sig, budget).run(size)
     if engine == "typed":
         return _TypedEngine(phi, sig, budget).run(size)
     if engine == "ground":
         return _GroundEngine(phi, sig, budget).run(size)
     raise LogicError(f"unknown engine {engine!r}")
+
+
+def smallest_model(
+    phi: Formula, sig: Signature, budget: SearchBudget
+) -> Optional[Structure]:
+    """A model of the smallest size in 2..budget.max_size, or None.
+
+    One find_model call per size, in increasing order; BudgetExceeded from
+    any size propagates."""
+    for k in range(2, budget.max_size + 1):
+        m = find_model(phi, sig, k, budget)
+        if m is not None:
+            return m
+    return None
 
 
 def _subst_t_top(f: Formula) -> Formula:
@@ -1193,20 +959,18 @@ def decide(
         if logic == "l2-1t":
             plain = Signature(sig.unary, sig.binary, DistKind.NONE)
             top = simplify(_subst_t_top(phi))
-            for k in range(2, budget.max_size + 1):
-                m = find_model(top, plain, k, budget)
-                if m is not None:
-                    total = frozenset(
-                        (a, b) for a in m.domain() for b in m.domain()
-                    )
-                    full = Structure(sig, m.size, m.unary, m.binary, total)
-                    if not evaluate(full, phi):
-                        raise LogicError("single-clique lift failed verification")
-                    return DecisionOutcome.sat(full)
-        for k in range(2, budget.max_size + 1):
-            m = find_model(phi, sig, k, budget)
+            m = smallest_model(top, plain, budget)
             if m is not None:
-                return DecisionOutcome.sat(m)
+                total = frozenset(
+                    (a, b) for a in m.domain() for b in m.domain()
+                )
+                full = Structure(sig, m.size, m.unary, m.binary, total)
+                if not evaluate(full, phi):
+                    raise LogicError("single-clique lift failed verification")
+                return DecisionOutcome.sat(full)
+        m = smallest_model(phi, sig, budget)
+        if m is not None:
+            return DecisionOutcome.sat(m)
         return DecisionOutcome.no_model_up_to(budget.max_size)
     except BudgetExceeded as e:
         return DecisionOutcome.unknown(str(e))
@@ -1280,7 +1044,7 @@ def random_structure(seed: int, sig: Signature, size: int, density: float = 0.4)
             for j in range(i + 1, size)
             if rng.random() < density
         }
-        dist = _closure(base)
+        dist = transitive_closure(base)
     elif sig.dist is DistKind.TRANSITIVE:
         base = {
             (a, b)
@@ -1288,21 +1052,8 @@ def random_structure(seed: int, sig: Signature, size: int, density: float = 0.4)
             for b in range(size)
             if rng.random() < density * 0.7
         }
-        dist = _closure(base)
+        dist = transitive_closure(base)
     return Structure(sig, size, unary, binary, dist)
-
-
-def _closure(pairs: set[Pair]) -> frozenset[Pair]:
-    out = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(out):
-            for b2, c in list(out):
-                if b2 == b and (a, c) not in out:
-                    out.add((a, c))
-                    changed = True
-    return frozenset(out)
 
 
 def random_formula(seed: int, sig: Signature, depth: int = 3) -> Formula:

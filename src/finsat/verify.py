@@ -49,13 +49,13 @@ from .cliques import (
     cliquify,
     expand_model,
 )
-from .solver import DecisionOutcome, SearchBudget, decide, find_model
+from .solver import BudgetExceeded, SearchBudget, smallest_model
 
 
 @dataclass
 class StageResult:
     stage: str
-    status: str  # 'pass' | 'fail' | 'skipped'
+    status: str  # 'pass' | 'fail' | 'skipped' | 'unknown'
     detail: str = ""
 
 
@@ -74,7 +74,7 @@ class VerificationReport:
     def render(self) -> str:
         lines = [f"pipeline verification ({self.logic})"]
         for s in self.stages:
-            mark = {"pass": "ok", "fail": "FAIL", "skipped": "skip"}[s.status]
+            mark = {"pass": "ok", "fail": "FAIL", "skipped": "skip", "unknown": "?"}[s.status]
             extra = f" -- {s.detail}" if s.detail else ""
             lines.append(f"  [{mark:4}] {s.stage}{extra}")
         return "\n".join(lines) + "\n"
@@ -139,11 +139,7 @@ def _po_unary_chain(
 ) -> None:
     from .normal_forms import basic_set_formula
 
-    model = None
-    for k in range(2, budget.max_size + 1):
-        model = find_model(basic_set_formula(psis), sig_star, k, budget)
-        if model is not None:
-            break
+    model = smallest_model(basic_set_formula(psis), sig_star, budget)
     if model is None:
         report.add(
             "basic-set model search",
@@ -217,7 +213,9 @@ def pipeline_verify(
     enum_budget: Optional[EnumerationBudget] = None,
 ) -> VerificationReport:
     """Run the full transformation chain for the given logic with every
-    stage's postconditions checked; the report is the oracle output."""
+    stage's postconditions checked; the report is the oracle output.  A
+    model search that exhausts its node budget ends the report with an
+    'unknown' stage."""
     budget = budget or SearchBudget()
     report = VerificationReport(logic)
     try:
@@ -228,11 +226,7 @@ def pipeline_verify(
                 "pass",
                 f"multiplicity {snf.multiplicity}, {len(sig1.unary) - len(sig.unary)} fresh predicates",
             )
-            model = None
-            for k in range(2, budget.max_size + 1):
-                model = find_model(snf.to_formula(), sig1, k, budget)
-                if model is not None:
-                    break
+            model = smallest_model(snf.to_formula(), sig1, budget)
             if model is not None and not evaluate(model, phi):
                 report.add("normal form implies the input", "fail")
                 return report
@@ -257,11 +251,7 @@ def pipeline_verify(
                     f"multiplicity {spread_res.spread.multiplicity}, witness model of size {spread_res.model.size}",
                 )
                 elim = eliminate_binaries(spread_res.spread)
-                m2 = None
-                for k in range(2, budget.max_size + 1):
-                    m2 = find_model(elim.weak.to_formula(), elim.sig_prime, k, budget)
-                    if m2 is not None:
-                        break
+                m2 = smallest_model(elim.weak.to_formula(), elim.sig_prime, budget)
                 if m2 is None:
                     report.add(
                         "binary elimination",
@@ -326,11 +316,7 @@ def pipeline_verify(
                 "pass",
                 f"multiplicity {tnf.multiplicity}, 4m = {4 * tnf.multiplicity} guard predicates",
             )
-            model = None
-            for k in range(2, budget.max_size + 1):
-                model = find_model(tnf.to_formula(), sig1, k, budget)
-                if model is not None:
-                    break
+            model = smallest_model(tnf.to_formula(), sig1, budget)
             if model is None:
                 report.add("transitive model search", "pass", f"no model up to size {budget.max_size}")
                 for stage in ("clique bounding", "clique abstraction round trip"):
@@ -372,4 +358,7 @@ def pipeline_verify(
         raise LogicError(f"unknown logic tag {logic!r}")
     except VerificationFailure as e:
         report.add("pipeline", "fail", str(e))
+        return report
+    except BudgetExceeded as e:
+        report.add("pipeline", "unknown", str(e))
         return report

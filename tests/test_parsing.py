@@ -10,8 +10,10 @@ from finsat.logic import (
     Not,
     Signature,
     Structure,
+    simplify,
 )
 from finsat.parsing import (
+    MAX_NESTING,
     DocumentError,
     ParseError,
     export_factorization_dot,
@@ -65,6 +67,21 @@ def test_parse_errors_carry_spans_inside_input():
         with pytest.raises(ParseError) as exc:
             parse_formula(text, PO)
         assert 0 <= exc.value.span.start <= exc.value.span.end <= len(text) + 1
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda f: f"({f} & q(x))", lambda f: f"!{f}", lambda f: f"exists y {f}", lambda f: f"q(x) -> {f}"],
+    ids=["parentheses", "negation", "quantifier", "implication"],
+)
+def test_nesting_limit(wrap):
+    text = "p(x)"
+    for _ in range(MAX_NESTING):
+        text = wrap(text)
+    f = parse_formula(text, PO)
+    assert print_formula(simplify(f))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_formula(wrap(text), PO)
 
 
 def test_gt_and_sim_canonicalize():
