@@ -26,6 +26,10 @@ class PreconditionError(LogicError):
     """An operation was called outside its stated precondition."""
 
 
+class BudgetExceeded(LogicError):
+    """Raised when a search exhausts its node budget."""
+
+
 class VerificationFailure(LogicError):
     """An internal postcondition check failed; carries a reproduction bundle."""
 

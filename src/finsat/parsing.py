@@ -65,6 +65,12 @@ _KEYWORDS = {"forall", "exists", "true", "false"}
 #: more per level, so this keeps them all under Python's recursion limit.
 MAX_NESTING = 64
 
+#: Deepest nesting of ``<->`` that the parser accepts.  It expands
+#: ``a <-> b`` to ``(a -> b) & (b -> a)``, which holds each side twice, so
+#: every ``<->`` around a subformula doubles the size of the tree that the
+#: walkers see; this bounds that growth at 2 ** MAX_IFF_NESTING.
+MAX_IFF_NESTING = 8
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -104,6 +110,7 @@ class _Parser:
         self.pos = 0
         self.sig = sig
         self.depth = 0
+        self.iff_depth = 0  # deepest <-> nesting in the formula just parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -136,11 +143,20 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
+        outer = self.iff_depth
+        self.iff_depth = 0
         left = self.implication()
+        depth = self.iff_depth
         while self.peek().text == "<->":
-            self.take()
+            tok = self.take()
+            self.iff_depth = 0
             right = self.implication()
+            # a <-> b <-> c is (a <-> b) <-> c: each link wraps the chain so far.
+            depth = max(depth, self.iff_depth) + 1
+            if depth > MAX_IFF_NESTING:
+                raise ParseError(f"'<->' nested deeper than {MAX_IFF_NESTING} levels", tok.span)
             left = And((Implies(left, right), Implies(right, left)))
+        self.iff_depth = max(outer, depth)
         return left
 
     def implication(self) -> Formula:
@@ -245,29 +261,48 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 
 _LEVEL_IFF = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNARY = 4
+_LEVEL_IMPLIES = 2
+_LEVEL_OR = 3
+_LEVEL_AND = 4
+_LEVEL_UNARY = 5
+
+
+def _iff_sides(f: Formula) -> Optional[tuple[Formula, Formula]]:
+    """(a, b) if f is (a -> b) & (b -> a), the parse of a <-> b."""
+    if isinstance(f, And) and len(f.subs) == 2:
+        one, two = f.subs
+        if (
+            isinstance(one, Implies)
+            and isinstance(two, Implies)
+            and one.left == two.right
+            and one.right == two.left
+        ):
+            return one.left, one.right
+    return None
 
 
 def _print(f: Formula, level: int) -> str:
+    # Parentheses go only where the grammar needs them, so the text is
+    # nested no deeper than any text that parses to f.  Atoms, infix ones
+    # included, are primaries and never need them.
     if f == TRUE:
         return "true"
     if f == FALSE:
         return "false"
     if isinstance(f, Atom):
         if f.pred in ("<", "~"):
-            s = f"{f.args[0]} {f.pred} {f.args[1]}"
-            return s if level <= _LEVEL_AND else f"({s})"
+            return f"{f.args[0]} {f.pred} {f.args[1]}"
         return f"{f.pred}({', '.join(f.args)})"
     if isinstance(f, Eq):
-        s = f"{f.left} = {f.right}"
-        return s if level <= _LEVEL_AND else f"({s})"
+        return f"{f.left} = {f.right}"
     if isinstance(f, Not):
         if isinstance(f.sub, Eq):
-            s = f"{f.sub.left} != {f.sub.right}"
-            return s if level <= _LEVEL_AND else f"({s})"
-        return "!" + _print(f.sub, _LEVEL_UNARY + 1)
+            return f"{f.sub.left} != {f.sub.right}"
+        return "!" + _print(f.sub, _LEVEL_UNARY)
+    iff = _iff_sides(f)
+    if iff is not None:
+        s = f"{_print(iff[0], _LEVEL_IFF)} <-> {_print(iff[1], _LEVEL_IMPLIES)}"
+        return s if level <= _LEVEL_IFF else f"({s})"
     if isinstance(f, And):
         if len(f.subs) == 1:
             return _print(f.subs[0], level)
@@ -279,15 +314,11 @@ def _print(f: Formula, level: int) -> str:
         s = " | ".join(_print(g, _LEVEL_AND) for g in f.subs)
         return s if level <= _LEVEL_OR else f"({s})"
     if isinstance(f, Implies):
-        s = f"{_print(f.left, _LEVEL_OR)} -> {_print(f.right, _LEVEL_IFF)}"
-        return s if level <= _LEVEL_IFF else f"({s})"
+        s = f"{_print(f.left, _LEVEL_OR)} -> {_print(f.right, _LEVEL_IMPLIES)}"
+        return s if level <= _LEVEL_IMPLIES else f"({s})"
     if isinstance(f, (Forall, Exists)):
         kw = "forall" if isinstance(f, Forall) else "exists"
-        if isinstance(f.body, (Forall, Exists)):
-            body = _print(f.body, _LEVEL_UNARY)
-        else:
-            body = f"({_print(f.body, _LEVEL_IFF)})"
-        s = f"{kw} {f.var} {body}"
+        s = f"{kw} {f.var} {_print(f.body, _LEVEL_UNARY)}"
         return s if level <= _LEVEL_UNARY else f"({s})"
     raise LogicError(f"bad formula node {f!r}")
 

@@ -8,10 +8,23 @@ filtering against the universal part pair by pair; it enumerates every pair
 alternative directly, so it takes only signatures with few 1-types and few
 pair alternatives.  The grounded engine translates the formula and the
 distinguished relation's axioms into propositional clauses over the fixed
-domain and runs a systematic backtracking search with unit propagation; it
-takes every wider signature, such as those produced by binary elimination
-and the clique reduction.  Every model found is re-verified with evaluate
-before it is returned.  smallest_model tries sizes 2..max_size in order.
+domain; it takes every wider signature, such as those produced by binary
+elimination and the clique reduction.  Every model found is re-verified
+with evaluate before it is returned.  smallest_model tries sizes
+2..max_size in order.
+
+The grounded engine's clauses go to the conflict-driven clause learning
+(CDCL) solver in cdcl.py, after Chaff (Moskewicz et al., DAC 2001) and MiniSat (Een
+and Sorensson, SAT 2003).  Unit propagation watches two literals of each
+long clause; a binary clause lives only in two implication lists.  Each
+conflict is analysed back to its first unique implication point, and the
+learnt clause is minimized locally: a literal goes if its reason holds only
+literals already in the clause.  Branching takes the unassigned variable of
+highest VSIDS activity from a heap that holds each variable at most once,
+and gives it the polarity it last had (phase saving); until the first
+conflict, that is an atom's variable, set false.  The search restarts after
+100 times the next Luby term of conflicts.  SearchBudget.node_limit bounds
+the typed engine's nodes and the solver's decisions, per find_model call.
 """
 
 from __future__ import annotations
@@ -21,9 +34,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .cdcl import CDCL
 from .logic import (
     And,
     Atom,
+    BudgetExceeded,
     DistKind,
     Eq,
     Exists,
@@ -61,12 +76,12 @@ from .normal_forms import (
 )
 
 
-class BudgetExceeded(LogicError):
-    """Raised internally when a search exhausts its node budget."""
-
-
 @dataclass(frozen=True)
 class SearchBudget:
+    """Largest domain size to try, and the most nodes one find_model call
+    may take: typed-engine nodes, or decisions of the grounded engine's
+    solver (propagations and conflicts are not counted)."""
+
     max_size: int = 6
     node_limit: int = 5_000_000
 
@@ -564,27 +579,44 @@ class _GroundEngine:
         self.phi = phi
         self.sig = sig
         self.budget = budget
-        self.nodes = 0
 
     def run(self, n: int) -> Optional[Structure]:
         self.n = n
         self.var_of: dict[tuple, int] = {}
-        self.clauses: list[tuple[int, ...]] = []
+        self.clauses: list[list[int]] = []
         self.n_vars = 0
-        root = self._node(self.phi, {}, True)
-        if root is False:
+        if not self._ground():
             return None
-        if root is not True:
-            lit = self._cnfify(root)
-            self.clauses.append((lit,))
         self._axioms()
-        assignment = self._solve()
+        # The solver takes the clause lists over and empties self.clauses.
+        cdcl = CDCL(self.n_vars, self.clauses, self.var_of.values())
+        assignment = cdcl.solve(self.budget.node_limit)
         if assignment is None:
             return None
         s = self._decode(assignment)
         if not evaluate(s, self.phi):
             raise LogicError("grounded engine produced a non-model; grounding is wrong")
         return s
+
+    def _ground(self) -> bool:
+        """Add the formula's clauses; False if it is false outright.
+
+        The root is asserted, not named: conjunctions split into separate
+        constraints and a disjunction becomes one clause, so only the
+        nodes below a disjunction get a definition variable."""
+        root = self._node(self.phi, {}, True)
+        if isinstance(root, bool):
+            return root
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, int):
+                self.clauses.append([node])
+            elif node[0] == "and":
+                stack.extend(node[1])
+            else:
+                self.clauses.append([self._cnfify(k) for k in node[1]])
+        return True
 
     def _var(self, key: tuple) -> int:
         v = self.var_of.get(key)
@@ -677,12 +709,12 @@ class _GroundEngine:
         z = self._aux()
         if kind == "and":
             for lit in lits:
-                self.clauses.append((-z, lit))
-            self.clauses.append(tuple([z] + [-lit for lit in lits]))
+                self.clauses.append([-z, lit])
+            self.clauses.append([z] + [-lit for lit in lits])
         else:
-            self.clauses.append(tuple([-z] + lits))
+            self.clauses.append([-z] + lits)
             for lit in lits:
-                self.clauses.append((z, -lit))
+                self.clauses.append([z, -lit])
         return z
 
     def _axioms(self) -> None:
@@ -698,9 +730,9 @@ class _GroundEngine:
             }
             for a in range(n):
                 for b in range(a + 1, n):
-                    self.clauses.append((-lt[(a, b)], -lt[(b, a)]))
+                    self.clauses.append([-lt[(a, b)], -lt[(b, a)]])
             for a, b, c in itertools.permutations(range(n), 3):
-                self.clauses.append((-lt[(a, b)], -lt[(b, c)], lt[(a, c)]))
+                self.clauses.append([-lt[(a, b)], -lt[(b, c)], lt[(a, c)]])
         if self.sig.dist is DistKind.TRANSITIVE and any(
             k[0] == "t" for k in self.var_of
         ):
@@ -716,114 +748,7 @@ class _GroundEngine:
                     for c in range(n):
                         if c == b:
                             continue
-                        self.clauses.append(
-                            (-t[(a, b)], -t[(b, c)], t[(a, c)])
-                        )
-
-    def _solve(self) -> Optional[list[int]]:
-        n_vars = self.n_vars
-        pos_occ: list[list[int]] = [[] for _ in range(n_vars + 1)]
-        neg_occ: list[list[int]] = [[] for _ in range(n_vars + 1)]
-        clauses = self.clauses
-        for ci, cl in enumerate(clauses):
-            for lit in cl:
-                (pos_occ if lit > 0 else neg_occ)[abs(lit)].append(ci)
-        assign = [0] * (n_vars + 1)  # 0 unassigned, 1 true, -1 false
-        trail: list[int] = []
-
-        def set_lit(lit: int) -> bool:
-            v, val = abs(lit), 1 if lit > 0 else -1
-            if assign[v] != 0:
-                return assign[v] == val
-            assign[v] = val
-            trail.append(v)
-            return True
-
-        def propagate(start: int) -> bool:
-            qi = start
-            while qi < len(trail):
-                v = trail[qi]
-                qi += 1
-                watch = neg_occ[v] if assign[v] > 0 else pos_occ[v]
-                for ci in watch:
-                    unit = 0
-                    satisfied = False
-                    unassigned = 0
-                    for lit in clauses[ci]:
-                        a = assign[abs(lit)]
-                        if a == 0:
-                            unassigned += 1
-                            unit = lit
-                            if unassigned > 1:
-                                break
-                        elif (a > 0) == (lit > 0):
-                            satisfied = True
-                            break
-                    if satisfied or unassigned > 1:
-                        continue
-                    if unassigned == 0:
-                        return False
-                    if not set_lit(unit):
-                        return False
-            return True
-
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                assign[trail.pop()] = 0
-
-        # Seed with unit clauses.
-        for cl in clauses:
-            if len(cl) == 1 and not set_lit(cl[0]):
-                return None
-        if not propagate(0):
-            return None
-
-        real_set = set(self.var_of.values())
-        freq = [0] * (n_vars + 1)
-        for cl in clauses:
-            for lit in cl:
-                freq[abs(lit)] += 1
-        real = sorted(real_set, key=lambda v: -freq[v])
-        aux = sorted(
-            (v for v in range(1, n_vars + 1) if v not in real_set),
-            key=lambda v: -freq[v],
-        )
-        order = real + aux
-
-        def pick() -> int:
-            for w in order:
-                if assign[w] == 0:
-                    return w
-            return 0
-
-        # Iterative DPLL: each decision records the variable, whether the
-        # second polarity was tried, and the trail mark to undo to.
-        decisions: list[list[int]] = []
-        while True:
-            v = pick()
-            if v == 0:
-                return assign
-            self.nodes += 1
-            if self.nodes > self.budget.node_limit:
-                raise BudgetExceeded(
-                    f"grounded search exceeded {self.budget.node_limit} nodes"
-                )
-            mark = len(trail)
-            decisions.append([v, 0, mark])
-            assign[v] = -1
-            trail.append(v)
-            ok = propagate(mark)
-            while not ok:
-                while decisions and decisions[-1][1] == 1:
-                    undo(decisions.pop()[2])
-                if not decisions:
-                    return None
-                d = decisions[-1]
-                undo(d[2])
-                d[1] = 1
-                assign[d[0]] = 1
-                trail.append(d[0])
-                ok = propagate(d[2])
+                        self.clauses.append([-t[(a, b)], -t[(b, c)], t[(a, c)]])
 
     def _decode(self, assign: list[int]) -> Structure:
         unary = {p: set() for p in self.sig.unary}

@@ -241,6 +241,30 @@ def all_structures(sig, size):
                 )
 
 
+def cnf_satisfiable(n_vars: int, clauses) -> bool:
+    """Whether some assignment of variables 1..n_vars satisfies every
+    clause (lists of nonzero integers, -v for "not v"), by trying all
+    2**n_vars assignments at once: bit a of a mask stands for assignment
+    a, in which variable v is true iff bit v - 1 of a is set."""
+    n_assignments = 1 << n_vars
+    every = (1 << n_assignments) - 1
+    true_in = [0]
+    for v in range(1, n_vars + 1):
+        half = 1 << (v - 1)
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < n_assignments:
+            mask |= mask << width
+            width *= 2
+        true_in.append(mask)
+    alive = every
+    for clause in clauses:
+        sat = 0
+        for lit in clause:
+            sat |= true_in[lit] if lit > 0 else every & ~true_in[-lit]
+        alive &= sat
+    return alive != 0
+
+
 _DOT_NODE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]* \[label="[^"]*"(, penwidth=\d+)?\];$')
 _DOT_EDGE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]* -> [A-Za-z_][A-Za-z0-9_]*;$")
 

@@ -1,6 +1,7 @@
 """The finsat command line: one exit code per kind of outcome."""
 
 import functools
+import time
 
 import pytest
 
@@ -11,7 +12,8 @@ from finsat.solver import SearchBudget
 from finsat.verify import pipeline_verify
 
 AXIOM = "forall x !t(x,x) & forall x exists y t(x,y)"
-# The grounded engine runs out of a 20,000-node budget on this one.
+# The grounded engine settles this one at sizes 2-4 in about 1,000
+# decisions, so a 50-node budget runs out.
 BUDGET_OUT = "forall x exists y (t(x,y) & !t(y,x) & b(y)) & exists x (a(x) & !t(x,x))"
 
 
@@ -47,11 +49,11 @@ def test_budget_out_exits_2(command, formula_file, monkeypatch, capsys):
 def test_pipeline_verify_reports_a_budget_out_as_unknown():
     sig = Signature(("a", "b"), (), DistKind.TRANSITIVE)
     report = pipeline_verify(
-        parse_formula(BUDGET_OUT, sig), sig, "l2-1t", SearchBudget(max_size=4, node_limit=20_000)
+        parse_formula(BUDGET_OUT, sig), sig, "l2-1t", SearchBudget(max_size=4, node_limit=50)
     )
     assert report.ok
     assert report.stages[-1].status == "unknown"
-    assert "[?   ] pipeline -- grounded search exceeded 20000 nodes" in report.render()
+    assert "[?   ] pipeline -- grounded search exceeded 50 nodes" in report.render()
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -73,3 +75,12 @@ def test_seed_is_not_a_decide_option(formula_file):
 def test_parse_errors_exit_65(text, formula_file, capsys):
     assert cli.main(["parse", "--unary", "p", formula_file(text)]) == cli.EXIT_PARSE == 65
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_long_iff_chain_exits_65_at_once(formula_file, capsys):
+    # Expanding each <-> doubles the tree: 30 links would give 2**30 copies.
+    path = formula_file("forall x (" + " <-> ".join(["p(x)"] * 31) + ")")
+    start = time.perf_counter()
+    assert cli.main(["parse", "--unary", "p", path]) == cli.EXIT_PARSE
+    assert time.perf_counter() - start < 1.0
+    assert "'<->' nested deeper" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Formula grammar, structure documents and DOT export."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from finsat.logic import (
     simplify,
 )
 from finsat.parsing import (
+    MAX_IFF_NESTING,
     MAX_NESTING,
     DocumentError,
     ParseError,
@@ -80,8 +83,45 @@ def test_nesting_limit(wrap):
         text = wrap(text)
     f = parse_formula(text, PO)
     assert print_formula(simplify(f))
+    assert parse_formula(print_formula(f), PO) == f
     with pytest.raises(ParseError, match="nested deeper"):
         parse_formula(wrap(text), PO)
+
+
+@pytest.mark.parametrize(
+    "link",
+    [lambda f: f"{f} <-> q(x)", lambda f: f"q(x) <-> ({f})", lambda f: f"({f} <-> q(x)) <-> q(x)"],
+    ids=["chain", "right", "parenthesized-chain"],
+)
+def test_iff_nesting_limit(link):
+    text = "p(x)"
+    while True:
+        longer = link(text)
+        if longer.count("<->") > MAX_IFF_NESTING:
+            break
+        text = longer
+    f = parse_formula(text, PO)
+    assert parse_formula(print_formula(f), PO) == f
+    with pytest.raises(ParseError, match="'<->' nested deeper"):
+        parse_formula(longer, PO)
+
+
+def test_print_reparses_at_both_limits():
+    text = "p(x)"
+    for _ in range(MAX_IFF_NESTING):
+        text = f"q(x) <-> ({text})"
+    wraps = itertools.cycle(
+        [lambda f: f"({f} & x < y)", lambda f: f"!{f}", lambda f: f"exists y {f}", lambda f: f"q(x) -> {f}"]
+    )
+    while True:
+        try:
+            f = parse_formula(text, PO)
+        except ParseError as e:
+            assert "nested deeper" in str(e)
+            break
+        assert parse_formula(print_formula(f), PO) == f
+        last, text = f, next(wraps)(text)
+    assert parse_formula(print_formula(last), PO) == last
 
 
 def test_gt_and_sim_canonicalize():

@@ -1,11 +1,16 @@
 """Bounded model search: decide, smallest_model, and the engines checked
 against each other and against brute-force enumeration."""
 
+import itertools
+import random
+
 import pytest
 
+from finsat.cdcl import CDCL
 from finsat.logic import DistKind, Signature, evaluate
 from finsat.parsing import parse_formula
 from finsat.solver import (
+    BudgetExceeded,
     SearchBudget,
     decide,
     find_model,
@@ -13,7 +18,7 @@ from finsat.solver import (
     smallest_model,
 )
 
-from oracles import all_structures
+from oracles import all_structures, cnf_satisfiable
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
 PQR = Signature(("p", "q", "r"), (), DistKind.NONE)
@@ -108,3 +113,70 @@ def test_auto_and_ground_agree_on_a_wide_signature():
         assert (auto is None) == (ground is None)
         for m in (auto, ground):
             assert m is None or (m.size == k and evaluate(m, phi))
+
+
+def _random_3cnf(seed: int) -> tuple[int, list[list[int]]]:
+    """8-14 variables at the clause/variable ratio 4.26, where random
+    3-CNFs are about as often satisfiable as not."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 14)
+    return n, [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        for _ in range(round(4.26 * n))
+    ]
+
+
+def _pigeonhole(pigeons: int, holes: int) -> tuple[int, list[list[int]]]:
+    """Every pigeon in a hole, no two in one hole: unsatisfiable when
+    there are more pigeons than holes."""
+    var = lambda i, j: i * holes + j + 1
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for a, b in itertools.combinations(range(pigeons), 2):
+            clauses.append([-var(a, j), -var(b, j)])
+    return pigeons * holes, clauses
+
+
+def _cdcl(n_vars, clauses, node_limit=10**6):
+    """The solver's answer, with any assignment checked against the
+    clauses (the solver takes its input over, so it gets copies)."""
+    assignment = CDCL(n_vars, [list(c) for c in clauses]).solve(node_limit)
+    if assignment is not None:
+        assert all(any(assignment[lit] == 1 for lit in c) for c in clauses)
+    return assignment
+
+
+def test_cdcl_agrees_with_brute_force_on_random_3cnf():
+    answers = set()
+    for seed in range(200):
+        n, clauses = _random_3cnf(seed)
+        sat = _cdcl(n, clauses) is not None
+        assert sat == cnf_satisfiable(n, clauses), f"seed {seed}"
+        answers.add(sat)
+    assert answers == {True, False}
+
+
+def test_cdcl_refutes_pigeonhole():
+    assert _cdcl(*_pigeonhole(4, 3)) is None
+    cdcl = CDCL(*_pigeonhole(7, 6))
+    assert cdcl.solve(10**6) is None
+    assert cdcl.conflicts > 2 * CDCL.RESTART_UNIT  # so it has restarted
+
+
+def test_cdcl_budget_counts_decisions():
+    with pytest.raises(BudgetExceeded, match="exceeded 100 nodes"):
+        _cdcl(*_pigeonhole(7, 6), node_limit=100)
+
+
+@pytest.mark.parametrize(
+    "clauses, sat",
+    [
+        ([[1, 1, 2], [-1, -1], [-2, 3, -2]], True),  # repeated literals
+        ([[1, -1, 2], [2, -2], [-2]], True),  # tautologies
+        ([[1], [-1, 2], [-2, 1, 3], [-3]], True),  # units at level 0
+        ([[1], [-1]], False),
+        ([[1, 2], []], False),
+    ],
+)
+def test_cdcl_loads_degenerate_clauses(clauses, sat):
+    assert (_cdcl(3, clauses) is not None) == sat == cnf_satisfiable(3, clauses)
