@@ -13,18 +13,8 @@ elimination and the clique reduction.  Every model found is re-verified
 with evaluate before it is returned.  smallest_model tries sizes
 2..max_size in order.
 
-The grounded engine's clauses go to the conflict-driven clause learning
-(CDCL) solver in cdcl.py, after Chaff (Moskewicz et al., DAC 2001) and MiniSat (Een
-and Sorensson, SAT 2003).  Unit propagation watches two literals of each
-long clause; a binary clause lives only in two implication lists.  Each
-conflict is analysed back to its first unique implication point, and the
-learnt clause is minimized locally: a literal goes if its reason holds only
-literals already in the clause.  Branching takes the unassigned variable of
-highest VSIDS activity from a heap that holds each variable at most once,
-and gives it the polarity it last had (phase saving); until the first
-conflict, that is an atom's variable, set false.  The search restarts after
-100 times the next Luby term of conflicts.  SearchBudget.node_limit bounds
-the typed engine's nodes and the solver's decisions, per find_model call.
+The grounded engine is in ground.py.  SearchBudget.node_limit bounds the
+typed engine's nodes and the solver's decisions, per find_model call.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cdcl import CDCL
 from .logic import (
     And,
     Atom,
@@ -68,6 +57,7 @@ from .logic import (
     substitute,
 )
 from .factorization import transitive_closure
+from .ground import GroundEngine
 from .normal_forms import (
     _find_single_positive_exists,
     _orient,
@@ -570,209 +560,6 @@ class _TypedEngine:
 
 
 # ---------------------------------------------------------------------------
-# Grounded engine
-# ---------------------------------------------------------------------------
-
-
-class _GroundEngine:
-    def __init__(self, phi: Formula, sig: Signature, budget: SearchBudget) -> None:
-        self.phi = phi
-        self.sig = sig
-        self.budget = budget
-
-    def run(self, n: int) -> Optional[Structure]:
-        self.n = n
-        self.var_of: dict[tuple, int] = {}
-        self.clauses: list[list[int]] = []
-        self.n_vars = 0
-        if not self._ground():
-            return None
-        self._axioms()
-        # The solver takes the clause lists over and empties self.clauses.
-        cdcl = CDCL(self.n_vars, self.clauses, self.var_of.values())
-        assignment = cdcl.solve(self.budget.node_limit)
-        if assignment is None:
-            return None
-        s = self._decode(assignment)
-        if not evaluate(s, self.phi):
-            raise LogicError("grounded engine produced a non-model; grounding is wrong")
-        return s
-
-    def _ground(self) -> bool:
-        """Add the formula's clauses; False if it is false outright.
-
-        The root is asserted, not named: conjunctions split into separate
-        constraints and a disjunction becomes one clause, so only the
-        nodes below a disjunction get a definition variable."""
-        root = self._node(self.phi, {}, True)
-        if isinstance(root, bool):
-            return root
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, int):
-                self.clauses.append([node])
-            elif node[0] == "and":
-                stack.extend(node[1])
-            else:
-                self.clauses.append([self._cnfify(k) for k in node[1]])
-        return True
-
-    def _var(self, key: tuple) -> int:
-        v = self.var_of.get(key)
-        if v is None:
-            self.n_vars += 1
-            v = self.n_vars
-            self.var_of[key] = v
-        return v
-
-    def _aux(self) -> int:
-        self.n_vars += 1
-        return self.n_vars
-
-    def _atom_node(self, f: Atom, env: dict[str, int], pol: bool):
-        args = tuple(env[a] for a in f.args)
-        name = f.pred
-        if name in self.sig.unary:
-            lit = self._var(("u", name, args[0]))
-        elif name in self.sig.binary:
-            lit = self._var(("b", name, args[0], args[1]))
-        elif name == "<" and self.sig.dist is DistKind.PARTIAL_ORDER:
-            if args[0] == args[1]:
-                return not pol
-            lit = self._var(("lt", args[0], args[1]))
-        elif name == "~" and self.sig.dist is DistKind.PARTIAL_ORDER:
-            a, b = args
-            if a == b:
-                return not pol
-            u, v = self._var(("lt", a, b)), self._var(("lt", b, a))
-            return ("and", [-u, -v]) if pol else ("or", [u, v])
-        elif name == "t" and self.sig.dist is DistKind.TRANSITIVE:
-            lit = self._var(("t", args[0], args[1]))
-        else:
-            raise LogicError(f"predicate {name!r} not in signature")
-        return lit if pol else -lit
-
-    def _node(self, f: Formula, env: dict[str, int], pol: bool):
-        if isinstance(f, Atom):
-            return self._atom_node(f, env, pol)
-        if isinstance(f, Eq):
-            return (env[f.left] == env[f.right]) == pol
-        if isinstance(f, Not):
-            return self._node(f.sub, env, not pol)
-        if isinstance(f, (And, Or)):
-            conjunctive = isinstance(f, And) == pol
-            kids = [self._node(s, env, pol) for s in f.subs]
-            return self._gather(kids, conjunctive)
-        if isinstance(f, Implies):
-            if pol:
-                return self._gather(
-                    [self._node(f.left, env, False), self._node(f.right, env, True)],
-                    False,
-                )
-            return self._gather(
-                [self._node(f.left, env, True), self._node(f.right, env, False)],
-                True,
-            )
-        if isinstance(f, (Forall, Exists)):
-            conjunctive = isinstance(f, Forall) == pol
-            kids = []
-            for a in range(self.n):
-                env2 = dict(env)
-                env2[f.var] = a
-                kids.append(self._node(f.body, env2, pol))
-            return self._gather(kids, conjunctive)
-        raise LogicError(f"bad formula node {f!r}")
-
-    @staticmethod
-    def _gather(kids: list, conjunctive: bool):
-        flat = []
-        for k in kids:
-            if isinstance(k, bool):
-                if k == conjunctive:
-                    continue
-                return k
-            flat.append(k)
-        if not flat:
-            return conjunctive
-        if len(flat) == 1:
-            return flat[0]
-        return ("and" if conjunctive else "or", flat)
-
-    def _cnfify(self, node) -> int:
-        # Full two-sided definitions: the weaker one-sided variant is
-        # sound here but propagates too little for unsatisfiable cores.
-        if isinstance(node, int):
-            return node
-        kind, kids = node
-        lits = [self._cnfify(k) for k in kids]
-        z = self._aux()
-        if kind == "and":
-            for lit in lits:
-                self.clauses.append([-z, lit])
-            self.clauses.append([z] + [-lit for lit in lits])
-        else:
-            self.clauses.append([-z] + lits)
-            for lit in lits:
-                self.clauses.append([z, -lit])
-        return z
-
-    def _axioms(self) -> None:
-        n = self.n
-        if self.sig.dist is DistKind.PARTIAL_ORDER and any(
-            k[0] == "lt" for k in self.var_of
-        ):
-            lt = {
-                (a, b): self._var(("lt", a, b))
-                for a in range(n)
-                for b in range(n)
-                if a != b
-            }
-            for a in range(n):
-                for b in range(a + 1, n):
-                    self.clauses.append([-lt[(a, b)], -lt[(b, a)]])
-            for a, b, c in itertools.permutations(range(n), 3):
-                self.clauses.append([-lt[(a, b)], -lt[(b, c)], lt[(a, c)]])
-        if self.sig.dist is DistKind.TRANSITIVE and any(
-            k[0] == "t" for k in self.var_of
-        ):
-            t = {
-                (a, b): self._var(("t", a, b))
-                for a in range(n)
-                for b in range(n)
-            }
-            for a in range(n):
-                for b in range(n):
-                    if a == b:
-                        continue
-                    for c in range(n):
-                        if c == b:
-                            continue
-                        self.clauses.append([-t[(a, b)], -t[(b, c)], t[(a, c)]])
-
-    def _decode(self, assign: list[int]) -> Structure:
-        unary = {p: set() for p in self.sig.unary}
-        binary = {r: set() for r in self.sig.binary}
-        dist = set()
-        for key, v in self.var_of.items():
-            if assign[v] <= 0:
-                continue
-            if key[0] == "u":
-                unary[key[1]].add(key[2])
-            elif key[0] == "b":
-                binary[key[1]].add((key[2], key[3]))
-            elif key[0] in ("lt", "t"):
-                dist.add((key[1], key[2]))
-        return Structure(
-            self.sig,
-            self.n,
-            {p: frozenset(s) for p, s in unary.items()},
-            {r: frozenset(s) for r, s in binary.items()},
-            frozenset(dist),
-        )
-
-
-# ---------------------------------------------------------------------------
 # Public search interface
 # ---------------------------------------------------------------------------
 
@@ -821,11 +608,11 @@ def find_model(
             typed = _TypedEngine(phi, sig, budget)
             if len(typed.shape.thetas) <= _TYPED_WITNESS_LIMIT:
                 return typed.run(size)
-        return _GroundEngine(phi, sig, budget).run(size)
+        return GroundEngine(phi, sig).run(size, budget.node_limit)
     if engine == "typed":
         return _TypedEngine(phi, sig, budget).run(size)
     if engine == "ground":
-        return _GroundEngine(phi, sig, budget).run(size)
+        return GroundEngine(phi, sig).run(size, budget.node_limit)
     raise LogicError(f"unknown engine {engine!r}")
 
 

@@ -19,10 +19,21 @@ from finsat.logic import (
     neg,
 )
 from finsat.factorization import Factorization, TypedPartialOrder, fc_holds, transitive_closure
-from finsat.normal_forms import BasicFormula, BasicKind
+from finsat.normal_forms import BasicFormula, BasicKind, TransitiveNF
+from finsat.parsing import parse_formula
 from finsat.solver import random_structure
 
 PO2 = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
+TS = Signature(("a", "b"), (), DistKind.TRANSITIVE)
+
+#: The smallest transitive-NF axiom of infinity: every element is an
+#: a-element without a t-loop, and every a-element has a strictly t-greater
+#: element.  It has no finite model.
+MIN_INF = TransitiveNF(
+    etas=tuple(parse_formula("!t(x,x) & a(x)", TS) for _ in range(4)),
+    guards=(("b", "a", "b", "b"),),
+    thetas=(tuple(parse_formula(t, TS) for t in ("false", "true", "false", "false")),),
+)
 
 
 def po_sig(n_unary: int) -> Signature:

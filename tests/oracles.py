@@ -265,6 +265,31 @@ def cnf_satisfiable(n_vars: int, clauses) -> bool:
     return alive != 0
 
 
+def unit_propagate(clauses) -> dict[int, bool] | None:
+    """The values that unit propagation forces on the clauses' variables,
+    or None when it reaches a clause with every literal false.  A plain
+    fixpoint of full passes over the clauses."""
+    value: dict[int, bool] = {}
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unset = []
+            for lit in clause:
+                v = value.get(abs(lit))
+                if v is None:
+                    unset.append(lit)
+                elif v == (lit > 0):
+                    break
+            else:
+                if not unset:
+                    return None
+                if len(unset) == 1:
+                    value[abs(unset[0])] = unset[0] > 0
+                    changed = True
+    return value
+
+
 _DOT_NODE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]* \[label="[^"]*"(, penwidth=\d+)?\];$')
 _DOT_EDGE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]* -> [A-Za-z_][A-Za-z0-9_]*;$")
 

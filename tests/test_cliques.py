@@ -32,9 +32,9 @@ from finsat.normal_forms import TransitiveNF
 from finsat.parsing import parse_formula
 from finsat.solver import find_model, random_structure
 
+from fixtures import MIN_INF, TS
 from oracles import scc_partition
 
-TS = Signature(("a", "b"), (), DistKind.TRANSITIVE)
 BARE = Signature((), (), DistKind.TRANSITIVE)
 
 
@@ -248,20 +248,6 @@ def test_expand_rejects_mislabelled_models():
         expand_model(res, bogus)
 
 
-MIN_INF = TransitiveNF(
-    etas=tuple(parse_formula("!t(x,x) & a(x)", TS) for _ in range(4)),
-    guards=(("b", "a", "b", "b"),),
-    thetas=(
-        (
-            parse_formula("false", TS),
-            parse_formula("true", TS),
-            parse_formula("false", TS),
-            parse_formula("false", TS),
-        ),
-    ),
-)
-
-
 def test_minimal_infinity_fixture_is_finitely_unsatisfiable():
     for k in (2, 3, 4):
         assert find_model(MIN_INF.to_formula(), TS, k) is None
@@ -269,5 +255,5 @@ def test_minimal_infinity_fixture_is_finitely_unsatisfiable():
 
 def test_cliquify_of_infinity_fixture_has_no_small_model():
     res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
-    for k in (2, 3, 4, 5):
+    for k in (2, 3, 4, 5, 6):
         assert find_model(res.snf.to_formula(), res.sig_hat, k) is None

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from finsat.cdcl import CDCL
-from finsat.logic import DistKind, Signature, evaluate
+from finsat.cliques import EnumerationBudget, cliquify
+from finsat.ground import GroundEngine
+from finsat.logic import And, DistKind, Signature, evaluate
 from finsat.parsing import parse_formula
 from finsat.solver import (
     BudgetExceeded,
@@ -15,10 +17,12 @@ from finsat.solver import (
     decide,
     find_model,
     random_formula,
+    random_structure,
     smallest_model,
 )
 
-from oracles import all_structures, cnf_satisfiable
+from fixtures import MIN_INF, TS
+from oracles import all_structures, cnf_satisfiable, unit_propagate
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
 PQR = Signature(("p", "q", "r"), (), DistKind.NONE)
@@ -113,6 +117,92 @@ def test_auto_and_ground_agree_on_a_wide_signature():
         assert (auto is None) == (ground is None)
         for m in (auto, ground):
             assert m is None or (m.size == k and evaluate(m, phi))
+
+
+# A transitive relation needs loops only at both ends of a mutual pair, so
+# both formulas have models with mutual pairs.
+LOOP_CASES = (
+    (
+        "exists x exists y (x != y & t(x,y) & t(y,x))"
+        " & exists x exists y (x != y & !t(x,y))",
+        {2: False, 3: True},
+    ),
+    ("forall x forall y t(x,y)", {2: True, 3: True}),
+)
+
+
+@pytest.mark.parametrize("text, sat", LOOP_CASES)
+def test_ground_agrees_with_brute_force_on_mutual_pairs(text, sat):
+    phi = parse_formula(text, T0)
+    for k, want in sat.items():
+        m = find_model(phi, T0, k, engine="ground")
+        assert any(evaluate(s, phi) for s in all_structures(T0, k)) == want
+        assert (m is not None) == want
+        assert m is None or (m.size == k and evaluate(m, phi))
+
+
+def _atom_holds(s, key) -> bool:
+    if key[0] == "u":
+        return key[2] in s.unary[key[1]]
+    if key[0] == "b":
+        return key[2:] in s.binary[key[1]]
+    return key[1:] in s.dist  # "lt" or "t"
+
+
+def _check_grounding(phi, sig, k, structures) -> set[bool]:
+    """The grounded CNF at size k plus a structure's atom units propagates
+    to a conflict exactly when the structure is not a model; otherwise
+    propagation fixes every variable and satisfies every clause.  Returns
+    the truth values seen."""
+    engine = GroundEngine(phi, sig)
+    encoded = engine.encode(k)
+    seen = set()
+    for s in structures:
+        holds = evaluate(s, phi)
+        seen.add(holds)
+        if not encoded:
+            assert not holds
+            continue
+        units = [[v if _atom_holds(s, key) else -v] for key, v in engine.var_of.items()]
+        fixed = unit_propagate(engine.clauses + units)
+        assert (fixed is not None) == holds
+        if fixed is not None:
+            assert len(fixed) == engine.n_vars
+            assert all(any(fixed[abs(lit)] == (lit > 0) for lit in c) for c in engine.clauses)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_SIGS))
+def test_grounding_propagates_like_evaluate(name):
+    sig = DIFF_SIGS[name]
+    formulas = [random_formula(seed, sig, depth=3) for seed in range(20)]
+    if name == "l2":
+        formulas += [parse_formula(text, sig) for text in DIAGONAL_CASES]
+    every2 = list(all_structures(sig, 2))
+    some3 = random.Random(0).sample(list(all_structures(sig, 3)), 16)
+    seen = set()
+    for phi in formulas:
+        seen |= _check_grounding(phi, sig, 2, every2)
+        seen |= _check_grounding(phi, sig, 3, some3)
+    assert seen == {True, False}
+
+
+def test_grounding_of_a_cliquify_output_propagates_like_evaluate():
+    res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
+    structures = [random_structure(seed, res.sig_hat, 2) for seed in range(20)]
+    assert _check_grounding(res.snf.to_formula(), res.sig_hat, 2, structures) == {False}
+
+
+def test_separate_copies_of_a_formula_share_every_variable():
+    sig = DIFF_SIGS["l2"]
+    text = "forall x (p(x) | exists y (x != y & r(x,y) & !p(y))) & exists x !p(x)"
+    one = parse_formula(text, sig)
+    both = And((parse_formula(text, sig), parse_formula(text, sig)))
+    for k in (2, 3):
+        a, b = GroundEngine(one, sig), GroundEngine(both, sig)
+        assert a.encode(k) and b.encode(k)
+        assert a.n_vars > len(a.var_of)  # so there are gates to share
+        assert b.n_vars == a.n_vars
 
 
 def _random_3cnf(seed: int) -> tuple[int, list[list[int]]]:
