@@ -1,6 +1,6 @@
 """A conflict-driven clause learning (CDCL) SAT solver.
 
-It knows nothing of formulas: the grounded engine in solver.py hands it
+It knows nothing of formulas: the grounded engine in ground.py hands it
 clauses over integer literals and reads back an assignment.
 """
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -43,8 +44,6 @@ from .logic import (
     evaluate,
     neg,
     one_type_of,
-    simplify,
-    substitute,
     t_rel,
 )
 from .normal_forms import S_ORDER, StandardNF, TransitiveNF, fresh_names
@@ -155,7 +154,8 @@ class ShrinkResult:
 
 
 def _restrict(s: Structure, kept: Sequence[int]) -> ShrinkResult:
-    kept = tuple(sorted(kept))
+    """The substructure on kept, whose i-th element becomes element i."""
+    kept = tuple(kept)
     emap = {a: i for i, a in enumerate(kept)}
     unary = {
         p: frozenset(emap[a] for a in s.unary_of(p) if a in emap)
@@ -511,6 +511,19 @@ def enumerate_diatoms(
     type and (when ordinary binaries exist) all cross assignments."""
     budget = budget or EnumerationBudget()
     cells = enumerate_cells(sig, n, budget)
+    # Each ordered cell pair gives three order types, times every cross
+    # assignment of the ordinary binaries; refuse before building any.
+    sizes = Counter(c.size for c in cells)
+    predicted = sum(
+        3 * ka * kb * 2 ** (2 * len(sig.binary) * a * b)
+        for a, ka in sizes.items()
+        for b, kb in sizes.items()
+    )
+    if predicted > budget.max_diatoms:
+        raise EnumerationBudgetError(
+            f"diatom enumeration refused: {predicted} diatoms exceed the "
+            f"budget of {budget.max_diatoms}"
+        )
     diatoms: list[Structure] = []
     lefts: list[int] = []
     rights: list[int] = []
@@ -530,10 +543,6 @@ def enumerate_diatoms(
                     l_sizes.append(lc.size)
                     r_sizes.append(rc.size)
                     kinds.append(kind)
-                    if len(diatoms) > budget.max_diatoms:
-                        raise EnumerationBudgetError(
-                            f"diatom enumeration exceeded {budget.max_diatoms}"
-                        )
     index = {_structure_key(d): k for k, d in enumerate(diatoms)}
     inverse = []
     for k, d in enumerate(diatoms):
@@ -591,21 +600,21 @@ class CliquifyResult:
     def multiplicity(self) -> int:
         return self.snf.multiplicity
 
-    def cell_label(self, j: int, var: str) -> Formula:
-        return conj(
-            tuple(
-                Atom(p, (var,)) if (j >> i) & 1 else neg(Atom(p, (var,)))
-                for i, p in enumerate(self.p_preds)
-            )
-        )
 
-    def diatom_label(self, k: int, u: str, v: str) -> Formula:
-        return conj(
-            tuple(
-                Atom(q, (u, v)) if (k >> i) & 1 else neg(Atom(q, (u, v)))
-                for i, q in enumerate(self.q_preds)
-            )
-        )
+def _labels(preds: tuple[str, ...], count: int, args: tuple[str, ...]) -> list[Formula]:
+    """Labels 0..count-1 over preds: bit i of a label's index signs the
+    i-th predicate.  All labels share one atom and one negation per
+    predicate."""
+    lits = [(Not(Atom(p, args)), Atom(p, args)) for p in preds]
+    return [
+        conj(tuple(pair[(k >> i) & 1] for i, pair in enumerate(lits)))
+        for k in range(count)
+    ]
+
+
+def _literals(label: Formula) -> tuple[Formula, ...]:
+    """A label's literals; a one-predicate label is its literal."""
+    return label.subs if isinstance(label, And) else (label,)
 
 
 def cliquify(
@@ -621,6 +630,11 @@ def cliquify(
     a model of the output; any model of the output of size L expands to a
     model of the input of size at most n * L.  The output's multiplicity is
     exactly 4mn.
+
+    Each cell label (in x and in y) and each diatom label (in xy and in yx)
+    is built once, and the output holds it as a shared subtree wherever it
+    occurs.  The output is already constant-free: ``simplify`` leaves eta
+    and every theta unchanged.
     """
     if sig_t.dist is not DistKind.TRANSITIVE:
         raise PreconditionError("cliquify needs a transitive signature")
@@ -631,112 +645,94 @@ def cliquify(
     p_preds = tuple(f"cp{i}" for i in range(s_bits))
     q_preds = tuple(f"dq{i}" for i in range(t_bits))
     sig_hat = Signature(p_preds, q_preds, DistKind.PARTIAL_ORDER)
-    res = CliquifyResult(
-        StandardNF(TRUE, (TRUE,)), sig_hat, table, tnf, sig_t, p_preds, q_preds
-    )
-
-    def cell_label(j: int, var: str) -> Formula:
-        return res.cell_label(j, var)
-
-    def diatom_label(k: int, u: str, v: str) -> Formula:
-        return res.diatom_label(k, u, v)
+    cell_x = _labels(p_preds, m_cells, ("x",))
+    cell_y = _labels(p_preds, m_cells, ("y",))
+    diatom_xy = _labels(q_preds, n_diatoms, ("x", "y"))
+    diatom_yx = _labels(q_preds, n_diatoms, ("y", "x"))
 
     eta_parts: list[Formula] = []
     # Every element names a cell, every ordered pair a diatom.
-    eta_parts.append(disj(tuple(cell_label(j, "x") for j in range(m_cells))))
-    eta_parts.append(
-        disj(tuple(diatom_label(k, "x", "y") for k in range(n_diatoms)))
-    )
+    eta_parts.append(disj(tuple(cell_x)))
+    eta_parts.append(disj(tuple(diatom_xy)))
     # Diatom labels agree with the cell labels of their endpoints.
-    for k in range(n_diatoms):
-        eta_parts.append(
-            Implies(
-                diatom_label(k, "x", "y"),
-                And(
-                    (
-                        cell_label(table.left[k], "x"),
-                        cell_label(table.right[k], "y"),
-                    )
-                ),
-            )
+    eta_parts.extend(
+        Implies(
+            diatom_xy[k],
+            And(_literals(cell_x[table.left[k]]) + _literals(cell_y[table.right[k]])),
         )
+        for k in range(n_diatoms)
+    )
     # The reversed pair names the inverse diatom.
-    for k in range(n_diatoms):
-        eta_parts.append(
-            Implies(diatom_label(k, "x", "y"), diatom_label(table.inverse[k], "y", "x"))
-        )
+    eta_parts.extend(
+        Implies(diatom_xy[k], diatom_yx[table.inverse[k]]) for k in range(n_diatoms)
+    )
     # The partial order mirrors the diatom's order type.
     nav_atom = {"lt": atom("<", "x", "y"), "gt": atom("<", "y", "x"), "sim": atom("~", "x", "y")}
-    for k in range(n_diatoms):
-        eta_parts.append(
-            Implies(diatom_label(k, "x", "y"), nav_atom[table.order_type[k]])
-        )
-    # Universal matrix: within cells and across diatoms.
-    eq_ok = [
-        j
-        for j, c in enumerate(table.cells)
-        if evaluate(
-            c, Forall("x", Forall("y", Or((Eq("x", "y"), tnf.etas[0])))), {}
-        )
-    ]
-    eta_parts.append(disj(tuple(cell_label(j, "x") for j in eq_ok)))
+    eta_parts.extend(
+        Implies(diatom_xy[k], nav_atom[table.order_type[k]]) for k in range(n_diatoms)
+    )
+    # Universal matrix: within cells and across diatoms.  Each list holds
+    # at least two labels, so each part is a disjunction: vacuously, every
+    # one-element cell passes the within-cell check, every sim diatom the
+    # lt and gt checks, and every lt diatom the sim check.
+    within = Forall("x", Forall("y", Or((Eq("x", "y"), tnf.etas[0]))))
+    eta_parts.append(
+        disj(tuple(cell_x[j] for j, c in enumerate(table.cells) if evaluate(c, within)))
+    )
     for s_idx, s in enumerate(S_ORDER[1:], start=1):
-        ok = [
-            k
-            for k, d in enumerate(table.diatoms)
-            if evaluate(
-                d,
-                Forall("x", Forall("y", Implies(t_rel(s), tnf.etas[s_idx]))),
-                {},
-            )
-        ]
-        eta_parts.append(disj(tuple(diatom_label(k, "x", "y") for k in ok)))
-    eta = simplify(conj(eta_parts))
+        across = Forall("x", Forall("y", Implies(t_rel(s), tnf.etas[s_idx])))
+        eta_parts.append(
+            disj(tuple(diatom_xy[k] for k, d in enumerate(table.diatoms) if evaluate(d, across)))
+        )
+    eta = And(tuple(eta_parts))
 
     thetas: list[Formula] = []
     m = tnf.multiplicity
     for h in range(m):
         guards = tnf.guards[h]
         # Within-clique witnesses, one conjunct per carrier position.
+        witness = Implies(
+            Atom(guards[0], ("x",)),
+            Exists("y", And((neg(Eq("x", "y")), t_rel("eq"), tnf.thetas[h][0]))),
+        )
         for i in range(n):
             ok = [
                 j
                 for j, c in enumerate(table.cells)
-                if i >= c.size
-                or evaluate(
-                    c,
-                    Implies(
-                        Atom(guards[0], ("x",)),
-                        Exists("y", And((neg(Eq("x", "y")), t_rel("eq"), tnf.thetas[h][0]))),
-                    ),
-                    {"x": i},
-                )
+                if i >= c.size or evaluate(c, witness, {"x": i})
             ]
-            thetas.append(disj(tuple(cell_label(j, "x") for j in ok)))
+            thetas.append(disj(tuple(cell_x[j] for j in ok)))
         # Cross-clique witnesses per order type and carrier position.
         for s_idx, s in enumerate(S_ORDER[1:], start=1):
             for i in range(n):
                 nu = disj(
                     tuple(
-                        cell_label(j, "x")
+                        cell_x[j]
                         for j, c in enumerate(table.cells)
                         if i < c.size and i in c.unary_of(guards[s_idx])
                     )
                 )
-                xis = []
-                for k, d in enumerate(table.diatoms):
-                    if table.order_type[k] != s or i >= table.left_sizes[k]:
-                        continue
-                    if any(
-                        evaluate(
-                            d,
-                            tnf.thetas[h][s_idx],
-                            {"x": i, "y": table.left_sizes[k] + i2},
+                xi = disj(
+                    tuple(
+                        diatom_xy[k]
+                        for k, d in enumerate(table.diatoms)
+                        if table.order_type[k] == s
+                        and i < table.left_sizes[k]
+                        and any(
+                            evaluate(
+                                d,
+                                tnf.thetas[h][s_idx],
+                                {"x": i, "y": table.left_sizes[k] + i2},
+                            )
+                            for i2 in range(table.right_sizes[k])
                         )
-                        for i2 in range(table.right_sizes[k])
-                    ):
-                        xis.append(diatom_label(k, "x", "y"))
-                thetas.append(simplify(Implies(nu, disj(tuple(xis)))))
+                    )
+                )
+                # nu -> xi, with the constants folded as simplify would.
+                if nu == FALSE:
+                    thetas.append(TRUE)
+                else:
+                    thetas.append(neg(nu) if xi == FALSE else Implies(nu, xi))
     snf = StandardNF(eta, tuple(thetas))
     if snf.multiplicity != 4 * m * n:
         raise VerificationFailure("cliquify multiplicity bookkeeping is off")
@@ -758,10 +754,7 @@ def abstract_model(res: CliquifyResult, s: Structure) -> Structure:
     for c in dec.cliques:
         if len(c) > res.table.n:
             raise PreconditionError(f"clique of size {len(c)} exceeds the bound {res.table.n}")
-        members = sorted(c)
-        emap = {a: i for i, a in enumerate(members)}
-        key = _structure_key(_restrict_to(s, members, emap))
-        cell_of.append(cell_index[key])
+        cell_of.append(cell_index[_structure_key(_restrict(s, sorted(c)).structure)])
     n_cl = len(dec.cliques)
     unary = {
         p: frozenset(u for u in range(n_cl) if (cell_of[u] >> i) & 1)
@@ -769,12 +762,8 @@ def abstract_model(res: CliquifyResult, s: Structure) -> Structure:
     }
     binary = {q: set() for q in res.q_preds}
     for u, v in itertools.permutations(range(n_cl), 2):
-        left = sorted(dec.cliques[u])
-        right = sorted(dec.cliques[v])
-        emap = {a: i for i, a in enumerate(left)}
-        emap.update({a: len(left) + i for i, a in enumerate(right)})
-        key = _structure_key(_restrict_to(s, left + right, emap))
-        k = diatom_index[key]
+        pair = _restrict(s, sorted(dec.cliques[u]) + sorted(dec.cliques[v]))
+        k = diatom_index[_structure_key(pair.structure)]
         for i, q in enumerate(res.q_preds):
             if (k >> i) & 1:
                 binary[q].add((u, v))
@@ -786,33 +775,13 @@ def abstract_model(res: CliquifyResult, s: Structure) -> Structure:
         {q: frozenset(v) for q, v in binary.items()},
         order,
     )
-    if not evaluate(out, res.snf.to_formula()):
+    if not res.snf.holds(out):
         from .parsing import write_structure
 
         raise VerificationFailure(
             "abstraction fails the clique-level formula", write_structure(s)
         )
     return out
-
-
-def _restrict_to(s: Structure, members: Sequence[int], emap: dict[int, int]) -> Structure:
-    msel = set(members)
-    unary = {
-        p: frozenset(emap[a] for a in s.unary_of(p) if a in msel)
-        for p in s.sig.unary
-    }
-    binary = {
-        r: frozenset(
-            (emap[a], emap[b])
-            for a, b in s.binary_of(r)
-            if a in msel and b in msel
-        )
-        for r in s.sig.binary
-    }
-    dist = frozenset(
-        (emap[a], emap[b]) for a, b in s.dist if a in msel and b in msel
-    )
-    return Structure(s.sig, len(members), unary, binary, dist)
 
 
 def expand_model(res: CliquifyResult, b: Structure) -> Structure:
@@ -822,7 +791,7 @@ def expand_model(res: CliquifyResult, b: Structure) -> Structure:
     Consistency of the copies (no clashes, transitivity) is asserted and
     the result is verified against the transitive formula; the size is at
     most n times the input's."""
-    if not evaluate(b, res.snf.to_formula()):
+    if not res.snf.holds(b):
         raise PreconditionError("structure is not a model of the clique-level formula")
     table = res.table
     cell_of = []

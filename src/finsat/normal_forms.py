@@ -29,7 +29,9 @@ from .logic import (
     Or,
     PreconditionError,
     Signature,
+    Structure,
     TRUE,
+    _eval,
     atom,
     conj,
     disj,
@@ -82,18 +84,37 @@ def strip_distinct_eq(f: Formula) -> Formula:
     return f
 
 
-def _contains_eq(f: Formula) -> bool:
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, Not):
-        return _contains_eq(f.sub)
-    if isinstance(f, (And, Or)):
-        return any(_contains_eq(s) for s in f.subs)
-    if isinstance(f, Implies):
-        return _contains_eq(f.left) or _contains_eq(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return _contains_eq(f.body)
-    return False
+def _check_matrix(f: Formula, what: str) -> set[Atom]:
+    """Reject quantifiers, equality atoms and variables other than x and y
+    in a normal-form matrix, and return its atoms.
+
+    The walk is iterative and visits each shared subformula once.
+    """
+    atoms: set[Atom] = set()
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Atom):
+            if not set(g.args) <= {"x", "y"}:
+                raise LogicError(f"{what} must mention only the variables x and y")
+            atoms.add(g)
+        elif isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, (And, Or)):
+            stack.extend(g.subs)
+        elif isinstance(g, Implies):
+            stack += (g.left, g.right)
+        elif isinstance(g, Eq):
+            raise LogicError(f"{what} must be equality-free")
+        elif isinstance(g, (Forall, Exists)):
+            raise LogicError(f"{what} must be quantifier-free")
+        else:
+            raise LogicError(f"bad formula node {g!r}")
+    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +136,7 @@ class StandardNF:
         if not self.thetas:
             raise LogicError("standard normal form needs multiplicity >= 1")
         for g in (self.eta,) + self.thetas:
-            if not is_quantifier_free(g):
-                raise LogicError("normal-form matrix must be quantifier-free")
-            if _contains_eq(g):
-                raise LogicError("normal-form matrix must be equality-free")
+            _check_matrix(g, "normal-form matrix")
 
     @property
     def multiplicity(self) -> int:
@@ -133,6 +151,12 @@ class StandardNF:
             for th in self.thetas
         )
         return conj(parts)
+
+    def holds(self, s: Structure) -> bool:
+        """Truth of the sentence in s.  Construction has checked that the
+        matrices mention only x and y, so the sentence is closed and
+        evaluate's free-variable walk is skipped."""
+        return _eval(s, self.to_formula(), {})
 
     def to_weak(self) -> "WeakNF":
         return WeakNF((), self.eta, self.thetas)
@@ -149,9 +173,7 @@ class WeakNF:
     def __post_init__(self) -> None:
         StandardNF(self.eta, self.thetas)
         for zeta in self.z:
-            if not is_quantifier_free(zeta) or _contains_eq(zeta):
-                raise LogicError("existential parts must be quantifier- and equality-free")
-            if not free_vars(zeta) <= {"x"}:
+            if any("y" in a.args for a in _check_matrix(zeta, "existential parts")):
                 raise LogicError("existential parts must be unary in x")
 
     @property
@@ -760,10 +782,8 @@ class TransitiveNF:
         if not self.guards or len(self.guards) != len(self.thetas):
             raise LogicError("transitive normal form needs multiplicity >= 1")
         for g in self.etas + tuple(th for row in self.thetas for th in row):
-            if not is_quantifier_free(g) or _contains_eq(g):
-                raise LogicError("matrix must be quantifier- and equality-free")
-            if _mentions_cross_t(g):
-                raise LogicError("matrix must not mention cross atoms of t")
+            if _check_matrix(g, "transitive-NF matrix") & _CROSS_T:
+                raise LogicError("transitive-NF matrix must not mention cross atoms of t")
 
     @property
     def multiplicity(self) -> int:
@@ -787,20 +807,7 @@ class TransitiveNF:
         return conj(parts)
 
 
-def _mentions_cross_t(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return f.pred == "t" and f.args in (("x", "y"), ("y", "x"))
-    if isinstance(f, Eq):
-        return False
-    if isinstance(f, Not):
-        return _mentions_cross_t(f.sub)
-    if isinstance(f, (And, Or)):
-        return any(_mentions_cross_t(s) for s in f.subs)
-    if isinstance(f, Implies):
-        return _mentions_cross_t(f.left) or _mentions_cross_t(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return _mentions_cross_t(f.body)
-    raise LogicError(f"bad formula node {f!r}")
+_CROSS_T = frozenset({Atom("t", ("x", "y")), Atom("t", ("y", "x"))})
 
 
 _T_SUBST = {

@@ -215,7 +215,9 @@ def pipeline_verify(
     """Run the full transformation chain for the given logic with every
     stage's postconditions checked; the report is the oracle output.  A
     model search that exhausts its node budget ends the report with an
-    'unknown' stage."""
+    'unknown' stage.  Without ``enum_budget``, the clique round trip runs
+    under the default budget with the transitive normal form's 4m guard
+    predicates added to ``max_unary``."""
     budget = budget or SearchBudget()
     report = VerificationReport(logic)
     try:
@@ -339,6 +341,10 @@ def pipeline_verify(
                 )
                 return report
             n = max(len(c) for c in dec.cliques)
+            if enum_budget is None:
+                enum_budget = EnumerationBudget(
+                    max_unary=EnumerationBudget.max_unary + 4 * tnf.multiplicity
+                )
             try:
                 res = cliquify(tnf, sig1, n, enum_budget)
             except EnumerationBudgetError as e:

@@ -6,12 +6,15 @@ import pytest
 
 from finsat.logic import (
     DistKind,
+    Implies,
     PreconditionError,
     Signature,
     Structure,
     check_distinguished,
     evaluate,
+    formula_size,
     one_type_of,
+    simplify,
 )
 from finsat.cliques import (
     EnumerationBudget,
@@ -31,6 +34,7 @@ from finsat.cliques import (
 from finsat.normal_forms import TransitiveNF
 from finsat.parsing import parse_formula
 from finsat.solver import find_model, random_structure
+from finsat.verify import pipeline_verify
 
 from fixtures import MIN_INF, TS
 from oracles import scc_partition
@@ -198,6 +202,14 @@ def test_enumerate_diatoms_consistency_tables():
     assert count == table.n_diatoms
 
 
+def test_diatom_budget_counts_before_building():
+    # One binary r: 4 cells of size 1, and 4 cross bits per cell pair.
+    sig = Signature((), ("r",), DistKind.TRANSITIVE)
+    assert enumerate_diatoms(sig, 1, EnumerationBudget(max_diatoms=192)).n_diatoms == 192
+    with pytest.raises(EnumerationBudgetError, match="192 diatoms exceed the budget of 191"):
+        enumerate_diatoms(sig, 1, EnumerationBudget(max_diatoms=191))
+
+
 def test_enumeration_budget_refusal():
     wide = Signature(("a", "b", "c"), (), DistKind.TRANSITIVE)
     with pytest.raises(EnumerationBudgetError):
@@ -244,7 +256,8 @@ def test_expand_rejects_mislabelled_models():
         {q: frozenset() for q in res.sig_hat.binary},
         frozenset(),
     )
-    with pytest.raises(Exception):
+    assert not res.snf.holds(bogus)
+    with pytest.raises(PreconditionError, match="not a model of the clique-level formula"):
         expand_model(res, bogus)
 
 
@@ -257,3 +270,48 @@ def test_cliquify_of_infinity_fixture_has_no_small_model():
     res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
     for k in (2, 3, 4, 5, 6):
         assert find_model(res.snf.to_formula(), res.sig_hat, k) is None
+
+
+@pytest.mark.parametrize(
+    "tnf, n, eta_size",
+    [(MIN_INF, 1, 42_025), (tnf_fixture(), 2, 584_349)],
+    ids=["min-inf", "two-clique"],
+)
+def test_cliquify_output_shape(tnf, n, eta_size):
+    res = cliquify(tnf, TS, n, EnumerationBudget(max_diatoms=100000))
+    eta = res.snf.eta
+    assert simplify(eta) == eta
+    assert all(simplify(theta) == theta for theta in res.snf.thetas)
+    assert formula_size(eta) == eta_size
+    # Three implications per diatom, all led by its one shared label.
+    lefts = [g.left for g in eta.subs if isinstance(g, Implies)]
+    assert len(lefts) == 3 * res.table.n_diatoms
+    assert len({id(f) for f in lefts}) == res.table.n_diatoms
+
+
+def test_standard_nf_holds_agrees_with_evaluate():
+    res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
+    phi = res.snf.to_formula()
+    for seed in range(20):
+        s = random_structure(seed, res.sig_hat, 2)
+        assert res.snf.holds(s) == evaluate(s, phi)
+    res = cliquify(tnf_fixture(), TS, 2, EnumerationBudget(max_diatoms=100000))
+    hat = abstract_model(res, two_clique_model())
+    assert res.snf.holds(hat) and evaluate(hat, res.snf.to_formula())
+
+
+def test_round_trip_runs_under_the_default_budget():
+    phi = parse_formula("forall x exists y (x != y & !t(x,y) & !t(y,x))", BARE)
+    report = pipeline_verify(phi, BARE, "l2-1t")
+    assert report.stages[-1].stage == "clique abstraction round trip"
+    assert report.stages[-1].status == "pass", report.render()
+
+
+def test_round_trip_refusal_names_the_diatom_count():
+    # m = 2: 8 guard predicates give 2 * 2**8 one-element cells and
+    # 3 * 512**2 diatoms, far past the default 8192.
+    text = "forall x exists y (x != y & !t(x,y) & !t(y,x)) & forall x exists y (x != y & !t(x,y))"
+    report = pipeline_verify(parse_formula(text, BARE), BARE, "l2-1t")
+    last = report.stages[-1]
+    assert (last.stage, last.status) == ("clique abstraction round trip", "skipped")
+    assert "786432 diatoms exceed the budget of 8192" in last.detail

@@ -8,6 +8,10 @@ from finsat.logic import (
     And,
     Atom,
     DistKind,
+    Eq,
+    Exists,
+    LogicError,
+    Not,
     Or,
     Signature,
     Structure,
@@ -32,7 +36,7 @@ from finsat.normal_forms import (
     weak_to_standard,
 )
 from finsat.parsing import parse_formula, print_formula
-from finsat.solver import expansion_exists, find_model, random_formula
+from finsat.solver import expansion_exists, find_model, random_formula, random_structure
 
 L2 = Signature(("p", "q"), ("r",), DistKind.NONE)
 POU = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
@@ -107,7 +111,9 @@ def test_standard_nf_equisatisfiable_on_random_formulas():
             checked += 1
             m = find_model(snf.to_formula(), sig2, k)
             if m is not None:
-                assert evaluate(m, phi)
+                assert evaluate(m, phi) and snf.holds(m)
+            s = random_structure(seed, sig2, k)
+            assert snf.holds(s) == evaluate(s, snf.to_formula()), f"seed {seed} size {k}"
     assert checked
 
 
@@ -254,3 +260,39 @@ def test_transitive_nf_equisatisfiable_random():
             m = find_model(tnf.to_formula(), sig2, k)
             if m is not None:
                 assert evaluate(m, phi)
+
+
+BAD_MATRICES = {
+    "be quantifier-free": Exists("y", Atom("p", ("y",))),
+    "be equality-free": Eq("x", "y"),
+    "mention only the variables x and y": Atom("p", ("z",)),
+}
+
+
+@pytest.mark.parametrize("flaw", BAD_MATRICES)
+def test_normal_forms_reject_bad_matrices(flaw):
+    good = Atom("p", ("x",))
+    bad = Not(And((good, BAD_MATRICES[flaw])))
+
+    def rejects(what, build):
+        with pytest.raises(LogicError, match=f"^{what} must {flaw}$"):
+            build()
+
+    rejects("normal-form matrix", lambda: StandardNF(bad, (good,)))
+    rejects("normal-form matrix", lambda: StandardNF(good, (good, bad)))
+    rejects("normal-form matrix", lambda: WeakNF((), bad, (good,)))
+    rejects("existential parts", lambda: WeakNF((good, bad), good, (good,)))
+    guards = (("g0", "g1", "g2", "g3"),)
+    rejects("transitive-NF matrix", lambda: TransitiveNF((good, good, bad, good), guards, ((good,) * 4,)))
+    rejects("transitive-NF matrix", lambda: TransitiveNF((good,) * 4, guards, ((good, bad, good, good),)))
+
+
+def test_normal_forms_reject_misplaced_atoms():
+    good = Atom("p", ("x",))
+    with pytest.raises(LogicError, match="^existential parts must be unary in x$"):
+        WeakNF((Atom("p", ("y",)),), good, (good,))
+    cross = Or((good, Atom("t", ("y", "x"))))
+    with pytest.raises(LogicError, match="must not mention cross atoms of t"):
+        TransitiveNF((good, cross, good, good), (("g0", "g1", "g2", "g3"),), ((good,) * 4,))
+    # A diagonal t atom is allowed.
+    TransitiveNF((Atom("t", ("x", "x")),) * 4, (("g0", "g1", "g2", "g3"),), ((good,) * 4,))
