@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -30,7 +30,6 @@ from .logic import (
     Formula,
     Implies,
     LogicError,
-    Not,
     Or,
     Pair,
     PreconditionError,
@@ -39,7 +38,6 @@ from .logic import (
     TRUE,
     VerificationFailure,
     atom,
-    conj,
     disj,
     evaluate,
     neg,
@@ -47,6 +45,7 @@ from .logic import (
     t_rel,
 )
 from .normal_forms import S_ORDER, StandardNF, TransitiveNF, fresh_names
+from .resolution import labels
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +455,9 @@ class DiatomTable:
     right: tuple[int, ...]  # R(k)
     inverse: tuple[int, ...]  # I(k)
     order_type: tuple[str, ...]  # 'lt' | 'gt' | 'sim'
+    # _structure_key of each cell and diatom -> its index
+    cell_index: dict[tuple, int] = field(compare=False, repr=False)
+    diatom_index: dict[tuple, int] = field(compare=False, repr=False)
 
     @property
     def m_cells(self) -> int:
@@ -571,6 +573,8 @@ def enumerate_diatoms(
         tuple(rights),
         tuple(inverse),
         tuple(kinds),
+        {_structure_key(c): j for j, c in enumerate(cells)},
+        index,
     )
     for k in range(table.n_diatoms):
         ik = table.inverse[k]
@@ -599,17 +603,6 @@ class CliquifyResult:
     @property
     def multiplicity(self) -> int:
         return self.snf.multiplicity
-
-
-def _labels(preds: tuple[str, ...], count: int, args: tuple[str, ...]) -> list[Formula]:
-    """Labels 0..count-1 over preds: bit i of a label's index signs the
-    i-th predicate.  All labels share one atom and one negation per
-    predicate."""
-    lits = [(Not(Atom(p, args)), Atom(p, args)) for p in preds]
-    return [
-        conj(tuple(pair[(k >> i) & 1] for i, pair in enumerate(lits)))
-        for k in range(count)
-    ]
 
 
 def _literals(label: Formula) -> tuple[Formula, ...]:
@@ -645,10 +638,10 @@ def cliquify(
     p_preds = tuple(f"cp{i}" for i in range(s_bits))
     q_preds = tuple(f"dq{i}" for i in range(t_bits))
     sig_hat = Signature(p_preds, q_preds, DistKind.PARTIAL_ORDER)
-    cell_x = _labels(p_preds, m_cells, ("x",))
-    cell_y = _labels(p_preds, m_cells, ("y",))
-    diatom_xy = _labels(q_preds, n_diatoms, ("x", "y"))
-    diatom_yx = _labels(q_preds, n_diatoms, ("y", "x"))
+    cell_x = labels(p_preds, m_cells, ("x",))
+    cell_y = labels(p_preds, m_cells, ("y",))
+    diatom_xy = labels(q_preds, n_diatoms, ("x", "y"))
+    diatom_yx = labels(q_preds, n_diatoms, ("y", "x"))
 
     eta_parts: list[Formula] = []
     # Every element names a cell, every ordered pair a diatom.
@@ -748,13 +741,11 @@ def abstract_model(res: CliquifyResult, s: Structure) -> Structure:
     dec = cliques_of(s)
     if len(dec.cliques) < 2:
         raise PreconditionError("abstraction needs at least two cliques")
-    cell_index = {_structure_key(c): j for j, c in enumerate(res.table.cells)}
-    diatom_index = {_structure_key(d): k for k, d in enumerate(res.table.diatoms)}
     cell_of = []
     for c in dec.cliques:
         if len(c) > res.table.n:
             raise PreconditionError(f"clique of size {len(c)} exceeds the bound {res.table.n}")
-        cell_of.append(cell_index[_structure_key(_restrict(s, sorted(c)).structure)])
+        cell_of.append(res.table.cell_index[_structure_key(_restrict(s, sorted(c)).structure)])
     n_cl = len(dec.cliques)
     unary = {
         p: frozenset(u for u in range(n_cl) if (cell_of[u] >> i) & 1)
@@ -763,7 +754,7 @@ def abstract_model(res: CliquifyResult, s: Structure) -> Structure:
     binary = {q: set() for q in res.q_preds}
     for u, v in itertools.permutations(range(n_cl), 2):
         pair = _restrict(s, sorted(dec.cliques[u]) + sorted(dec.cliques[v]))
-        k = diatom_index[_structure_key(pair.structure)]
+        k = res.table.diatom_index[_structure_key(pair.structure)]
         for i, q in enumerate(res.q_preds):
             if (k >> i) & 1:
                 binary[q].add((u, v))

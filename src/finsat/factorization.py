@@ -24,6 +24,7 @@ from .logic import (
     Structure,
     evaluate,
     one_type_of,
+    order_violations,
 )
 from .normal_forms import BasicFormula, BasicKind, basic_set_formula, fc_subset
 
@@ -46,16 +47,6 @@ def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
     return frozenset(out)
 
 
-def is_strict_partial_order(pairs: frozenset[Pair]) -> bool:
-    if any(a == b for a, b in pairs):
-        return False
-    for a, b in pairs:
-        for b2, c in pairs:
-            if b2 == b and (a, c) not in pairs:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class TypedPartialOrder:
     """Carrier 0..n-1 with a strict order and a 1-type per element."""
@@ -74,7 +65,7 @@ class TypedPartialOrder:
         n = len(self.types)
         if not all(0 <= a < n and 0 <= b < n for a, b in self.order):
             raise LogicError("order pair outside carrier")
-        if not is_strict_partial_order(self.order):
+        if order_violations(self.order, strict=True):
             raise LogicError("element order is not a strict partial order")
 
     @property
@@ -139,7 +130,7 @@ class Factorization:
             seen |= b
         if seen != set(self.tpo.carrier()):
             raise LogicError("blocks do not cover the carrier")
-        if not is_strict_partial_order(self.order):
+        if order_violations(self.order, strict=True):
             raise LogicError("block order is not a strict partial order")
         k = len(self.blocks)
         if not all(0 <= i < k and 0 <= j < k for i, j in self.order):

@@ -48,6 +48,7 @@ from .logic import (
     Or,
     Signature,
     Structure,
+    atom_key,
     evaluate,
 )
 
@@ -137,27 +138,15 @@ def _gather(kids: Iterable, conjunctive: bool):
 
 def _atom_node(f: Atom, env: dict[str, int], pol: bool, sig: Signature, var):
     """The node of atom f under env: a bool, or literals that var makes
-    from an atom key's prefix and its arguments."""
+    from an atom key's prefix (its kind and predicate) and its arguments."""
+    key = atom_key(f, sig)
     args = tuple(env[a] for a in f.args)
-    name = f.pred
-    if name in sig.unary:
-        lit = var(("u", name), args)
-    elif name in sig.binary:
-        lit = var(("b", name), args)
-    elif name == "<" and sig.dist is DistKind.PARTIAL_ORDER:
-        if args[0] == args[1]:
-            return not pol
-        lit = var(("lt",), args)
-    elif name == "~" and sig.dist is DistKind.PARTIAL_ORDER:
-        a, b = args
-        if a == b:
-            return not pol
-        u, v = var(("lt",), (a, b)), var(("lt",), (b, a))
+    if key[0] in ("lt", "sim") and args[0] == args[1]:
+        return not pol
+    if key[0] == "sim":
+        u, v = var(("lt",), args), var(("lt",), args[::-1])
         return ("and", [-u, -v]) if pol else ("or", [u, v])
-    elif name == "t" and sig.dist is DistKind.TRANSITIVE:
-        lit = var(("t",), args)
-    else:
-        raise LogicError(f"predicate {name!r} not in signature")
+    lit = var(key[: len(key) - len(args)], args)
     return lit if pol else -lit
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class LogicError(Exception):
@@ -88,19 +89,25 @@ class Signature:
     def with_unary(self, names: tuple[str, ...]) -> "Signature":
         return Signature(self.unary + names, self.binary, self.dist)
 
-    def one_type_keys(self) -> tuple[tuple[str, ...], ...]:
-        """Atom keys deciding a 1-type, in bit order.
+    def one_type_keys(self) -> tuple[tuple, ...]:
+        """The atom keys of the atoms in x that decide a 1-type, in bit
+        order: p(x) per unary predicate, then r(x,x) per ordinary binary,
+        then (for transitive signatures) t(x,x).  The diagonal of a partial
+        order is forced false and carried implicitly."""
+        return self._one_type_keys
 
-        Unary predicates come first, then the diagonal of each ordinary
-        binary predicate, then (for transitive signatures) the diagonal of
-        the distinguished relation.  The diagonal of a partial order is
-        forced false and carried implicitly.
-        """
-        keys: list[tuple[str, ...]] = [("u", p) for p in self.unary]
-        keys.extend(("diag", r) for r in self.binary)
+    @cached_property
+    def _one_type_keys(self) -> tuple[tuple, ...]:
+        keys = [("u", p, "x") for p in self.unary]
+        keys.extend(("b", r, "x", "x") for r in self.binary)
         if self.dist is DistKind.TRANSITIVE:
-            keys.append(("tdiag",))
+            keys.append(("t", "x", "x"))
         return tuple(keys)
+
+    @cached_property
+    def one_type_bit(self) -> dict[tuple, int]:
+        """Bit position of each of one_type_keys() in a 1-type."""
+        return {key: i for i, key in enumerate(self._one_type_keys)}
 
     def arity(self, name: str) -> int:
         if name in self.unary:
@@ -217,18 +224,6 @@ def disj(parts) -> Formula:
     return Or(parts)
 
 
-def implies(a: Formula, b: Formula) -> Formula:
-    return Implies(a, b)
-
-
-def forall(var: str, body: Formula) -> Formula:
-    return Forall(var, body)
-
-
-def exists(var: str, body: Formula) -> Formula:
-    return Exists(var, body)
-
-
 def t_rel(kind: str, u: str = "x", v: str = "y") -> Formula:
     """The derived clique-order relations of a transitive signature.
 
@@ -267,56 +262,85 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise LogicError(f"bad formula node {f!r}")
 
 
-def is_quantifier_free(f: Formula) -> bool:
+def rewrite(f: Formula, fn: Callable[[Formula], Optional[Formula]]) -> Formula:
+    """Rebuild f top-down.  fn(g) returns g's replacement, or None to keep
+    g's connective and rewrite its parts; an atom or equality that fn
+    leaves is kept.  Negations are rebuilt with neg, the other connectives
+    and quantifiers as they were."""
+    out = fn(f)
+    if out is not None:
+        return out
     if isinstance(f, (Atom, Eq)):
-        return True
+        return f
     if isinstance(f, Not):
-        return is_quantifier_free(f.sub)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(s) for s in f.subs)
+        return neg(rewrite(f.sub, fn))
+    if isinstance(f, And):
+        return And(tuple(rewrite(g, fn) for g in f.subs))
+    if isinstance(f, Or):
+        return Or(tuple(rewrite(g, fn) for g in f.subs))
     if isinstance(f, Implies):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    return False
+        return Implies(rewrite(f.left, fn), rewrite(f.right, fn))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, rewrite(f.body, fn))
+    raise LogicError(f"bad formula node {f!r}")
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node occurrence of f in pre-order, f first; a shared subtree
+    is yielded once per occurrence."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or)):
+            stack.extend(reversed(g.subs))
+        elif isinstance(g, Implies):
+            stack += (g.right, g.left)
+        elif isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, (Forall, Exists)):
+            stack.append(g.body)
+        elif not isinstance(g, (Atom, Eq)):
+            raise LogicError(f"bad formula node {g!r}")
+
+
+def is_quantifier_free(f: Formula) -> bool:
+    return not any(isinstance(g, (Forall, Exists)) for g in subformulas(f))
 
 
 def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename free variables; quantifiers shadow as usual."""
-    if isinstance(f, Atom):
-        return atom(f.pred, *(mapping.get(a, a) for a in f.args))
-    if isinstance(f, Eq):
-        return eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Not):
-        return neg(substitute(f.sub, mapping))
-    if isinstance(f, And):
-        return And(tuple(substitute(s, mapping) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(s, mapping) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, (Forall, Exists)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        body = substitute(f.body, inner) if inner else f.body
-        return type(f)(f.var, body)
-    raise LogicError(f"bad formula node {f!r}")
+
+    def fn(g: Formula) -> Optional[Formula]:
+        if isinstance(g, Atom):
+            return atom(g.pred, *(mapping.get(a, a) for a in g.args))
+        if isinstance(g, Eq):
+            return eq(mapping.get(g.left, g.left), mapping.get(g.right, g.right))
+        if isinstance(g, (Forall, Exists)):
+            inner = {k: v for k, v in mapping.items() if k != g.var}
+            return type(g)(g.var, substitute(g.body, inner) if inner else g.body)
+        return None
+
+    return rewrite(f, fn)
+
+
+def _flip(v: str) -> str:
+    return "y" if v == "x" else "x"
 
 
 def swap_xy(f: Formula) -> Formula:
     """Transpose the roles of x and y throughout (bound and free)."""
-    if isinstance(f, Atom):
-        return atom(f.pred, *("y" if a == "x" else "x" for a in f.args))
-    if isinstance(f, Eq):
-        return eq("y" if f.left == "x" else "x", "y" if f.right == "x" else "x")
-    if isinstance(f, Not):
-        return neg(swap_xy(f.sub))
-    if isinstance(f, And):
-        return And(tuple(swap_xy(s) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(swap_xy(s) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(swap_xy(f.left), swap_xy(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)("y" if f.var == "x" else "x", swap_xy(f.body))
-    raise LogicError(f"bad formula node {f!r}")
+
+    def fn(g: Formula) -> Optional[Formula]:
+        if isinstance(g, Atom):
+            return atom(g.pred, *map(_flip, g.args))
+        if isinstance(g, Eq):
+            return eq(_flip(g.left), _flip(g.right))
+        if isinstance(g, (Forall, Exists)):
+            return type(g)(_flip(g.var), swap_xy(g.body))
+        return None
+
+    return rewrite(f, fn)
 
 
 def simplify(f: Formula) -> Formula:
@@ -369,38 +393,63 @@ def simplify(f: Formula) -> Formula:
 
 
 def formula_predicates(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.pred,))
-    if isinstance(f, Eq):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_predicates(f.sub)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for s in f.subs:
-            out |= formula_predicates(s)
-        return out
-    if isinstance(f, Implies):
-        return formula_predicates(f.left) | formula_predicates(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return formula_predicates(f.body)
-    raise LogicError(f"bad formula node {f!r}")
+    return frozenset(g.pred for g in subformulas(f) if isinstance(g, Atom))
 
 
 def formula_size(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1 + len(f.args)
-    if isinstance(f, Eq):
-        return 3
-    if isinstance(f, Not):
-        return 1 + formula_size(f.sub)
-    if isinstance(f, (And, Or)):
-        return 1 + sum(formula_size(s) for s in f.subs)
-    if isinstance(f, Implies):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return 2 + formula_size(f.body)
-    raise LogicError(f"bad formula node {f!r}")
+    """Node occurrences, plus one per atom argument and per binder."""
+    return sum(
+        1 + len(g.args) if isinstance(g, Atom)
+        else 3 if isinstance(g, Eq)
+        else 2 if isinstance(g, (Forall, Exists))
+        else 1
+        for g in subformulas(f)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Atom keys
+# ---------------------------------------------------------------------------
+
+
+def atom_key(a: Atom, sig: Signature) -> tuple:
+    """The one name of an atom over sig, for clauses, grounded variables
+    and 1-type bits alike: ("u", p, u), ("b", r, u, v) for an ordinary
+    binary (cross or diagonal), ("lt", u, v), ("sim",) for x ~ y, or
+    ("t", u, v).  The grounded engine puts elements in place of u and v."""
+    name = a.pred
+    if name in sig.unary:
+        return ("u", name) + a.args
+    if name in sig.binary:
+        return ("b", name) + a.args
+    if name == "<" and sig.dist is DistKind.PARTIAL_ORDER:
+        return ("lt",) + a.args
+    if name == "~" and sig.dist is DistKind.PARTIAL_ORDER:
+        return ("sim",)
+    if name == "t" and sig.dist is DistKind.TRANSITIVE:
+        return ("t",) + a.args
+    raise SignatureMismatchError(f"predicate {name!r} not in signature")
+
+
+def key_formula(key: tuple) -> Formula:
+    kind = key[0]
+    if kind in ("u", "b"):
+        return Atom(key[1], key[2:])
+    if kind == "lt":
+        return Atom("<", key[1:])
+    if kind == "sim":
+        return Atom("~", ("x", "y"))
+    if kind == "t":
+        return Atom("t", key[1:])
+    raise LogicError(f"bad atom key {key!r}")
+
+
+def swap_key(key: tuple) -> tuple:
+    """The key of the atom with x and y exchanged; sim is symmetric."""
+    if key[0] == "sim":
+        return key
+    start = 2 if key[0] in ("u", "b") else 1
+    return key[:start] + tuple(map(_flip, key[start:]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +521,17 @@ def check_distinguished(s: Structure) -> list[str]:
 
     Empty list iff the structure invariant holds.
     """
-    out: list[str] = []
-    rel = s.dist
     if s.sig.dist is DistKind.NONE:
-        if rel:
-            out.append("distinguished relation present but signature has none")
-        return out
-    if s.sig.dist is DistKind.PARTIAL_ORDER:
-        for a in s.domain():
-            if (a, a) in rel:
-                out.append(f"irreflexivity violated at {a}")
+        return ["distinguished relation present but signature has none"] if s.dist else []
+    return order_violations(s.dist, strict=s.sig.dist is DistKind.PARTIAL_ORDER)
+
+
+def order_violations(rel: frozenset[Pair], strict: bool) -> list[str]:
+    """Every failure of transitivity in rel, and of irreflexivity when
+    strict.  Empty list iff rel is transitive (a strict partial order)."""
+    out = []
+    if strict:
+        out.extend(f"irreflexivity violated at {a}" for a in sorted(a for a, b in rel if a == b))
     for a, b in rel:
         for b2, c in rel:
             if b2 == b and (a, c) not in rel:
@@ -567,31 +617,27 @@ class OneType:
     bits: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.bits) != len(self.sig.one_type_keys()):
+        if len(self.bits) != len(self.sig.one_type_bit):
             raise LogicError("1-type width does not match signature")
 
-    def polarity(self, key: tuple[str, ...]) -> bool:
-        return self.bits[self.sig.one_type_keys().index(key)]
+    def polarity(self, key: tuple) -> bool:
+        """The bit of one of the signature's 1-type keys."""
+        return self.bits[self.sig.one_type_bit[key]]
 
     def unary_polarity(self, p: str) -> bool:
-        return self.polarity(("u", p))
+        return self.polarity(("u", p, "x"))
 
     @property
     def t_diag(self) -> bool:
         """Polarity of t(x,x); only meaningful for transitive signatures."""
-        return self.polarity(("tdiag",))
+        return self.polarity(("t", "x", "x"))
 
     def literals(self, var: str = "x") -> tuple[Formula, ...]:
-        out = []
-        for key, bit in zip(self.sig.one_type_keys(), self.bits):
-            if key[0] == "u":
-                a: Formula = atom(key[1], var)
-            elif key[0] == "diag":
-                a = atom(key[1], var, var)
-            else:
-                a = atom("t", var, var)
-            out.append(a if bit else neg(a))
-        return tuple(out)
+        if var not in VARIABLES:
+            raise LogicError(f"bad variable {var!r}")
+        keys = self.sig.one_type_keys()
+        atoms = map(key_formula, keys if var == "x" else map(swap_key, keys))
+        return tuple(a if bit else neg(a) for a, bit in zip(atoms, self.bits))
 
     def formula(self, var: str = "x") -> Formula:
         return conj(self.literals(var))
@@ -599,7 +645,7 @@ class OneType:
     def label(self) -> str:
         parts = []
         for key, bit in zip(self.sig.one_type_keys(), self.bits):
-            name = key[1] if len(key) > 1 else "t"
+            name = "t" if key[0] == "t" else key[1]
             if key[0] != "u":
                 name += "(.,.)"
             parts.append(name if bit else "!" + name)
@@ -613,7 +659,7 @@ def one_type_of(s: Structure, a: int) -> OneType:
     for key in s.sig.one_type_keys():
         if key[0] == "u":
             bits.append(a in s.unary_of(key[1]))
-        elif key[0] == "diag":
+        elif key[0] == "b":
             bits.append((a, a) in s.binary_of(key[1]))
         else:
             bits.append((a, a) in s.dist)
@@ -622,7 +668,7 @@ def one_type_of(s: Structure, a: int) -> OneType:
 
 def enumerate_one_types(sig: Signature) -> tuple[OneType, ...]:
     """All 1-types over sig in deterministic lexicographic order."""
-    width = len(sig.one_type_keys())
+    width = len(sig.one_type_bit)
     return tuple(
         OneType(sig, bits) for bits in itertools.product((False, True), repeat=width)
     )
@@ -776,74 +822,43 @@ def enumerate_semi_diagonal_types(sig: Signature) -> Iterator[SemiDiagonalTwoTyp
 
 
 def eval_unary_on_type(f: Formula, tp: OneType, var: str = "x") -> bool:
-    """Truth of a quantifier-free one-variable formula at a 1-type."""
-    if isinstance(f, Atom):
-        if any(a != var for a in f.args):
-            raise PreconditionError(f"formula mentions a variable other than {var!r}")
-        if f.pred in tp.sig.unary:
-            return tp.unary_polarity(f.pred)
-        if f.pred in tp.sig.binary:
-            return tp.polarity(("diag", f.pred))
-        if f.pred == "t" and tp.sig.dist is DistKind.TRANSITIVE:
-            return tp.t_diag
-        if f.pred in ("<", "~"):
-            return False
-        raise SignatureMismatchError(f"predicate {f.pred!r} not in signature")
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, Not):
-        return not eval_unary_on_type(f.sub, tp, var)
-    if isinstance(f, And):
-        return all(eval_unary_on_type(g, tp, var) for g in f.subs)
-    if isinstance(f, Or):
-        return any(eval_unary_on_type(g, tp, var) for g in f.subs)
-    if isinstance(f, Implies):
-        return (not eval_unary_on_type(f.left, tp, var)) or eval_unary_on_type(
-            f.right, tp, var
-        )
-    raise PreconditionError("quantifier in a pure unary formula")
+    """Truth of a quantifier-free one-variable formula at a 1-type, read
+    off the type's canonical 1-element structure."""
+    return evaluate(_realize(tp.sig, (tp,)), f, {var: 0})
 
 
-def pair_structure(tau: TwoType) -> Structure:
-    """The canonical 2-element structure realizing tau on the pair (0, 1)."""
-    sig = tau.sig
-    unary = {
-        p: frozenset(
-            e
-            for e, tp in ((0, tau.x), (1, tau.y))
-            if tp.unary_polarity(p)
-        )
-        for p in sig.unary
-    }
-    binary = {}
-    for r in sig.binary:
-        ext = set()
-        fwd, bwd = tau.cross_of(r)
+def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
+    """The canonical structure whose elements 0, 1, ... carry types; cross
+    holds the (r(0,1), r(1,0)) polarities of each ordinary binary r, then
+    those of the distinguished relation."""
+    unary: dict[str, set[int]] = {p: set() for p in sig.unary}
+    binary: dict[str, set[Pair]] = {r: set() for r in sig.binary}
+    dist: set[Pair] = set()
+    for e, tp in enumerate(types):
+        for key, bit in zip(sig.one_type_keys(), tp.bits):
+            if bit and key[0] == "u":
+                unary[key[1]].add(e)
+            elif bit:
+                (binary[key[1]] if key[0] == "b" else dist).add((e, e))
+    for ext, (fwd, bwd) in zip([binary[r] for r in sig.binary] + [dist], cross):
         if fwd:
             ext.add((0, 1))
         if bwd:
             ext.add((1, 0))
-        if tau.x.polarity(("diag", r)):
-            ext.add((0, 0))
-        if tau.y.polarity(("diag", r)):
-            ext.add((1, 1))
-        binary[r] = frozenset(ext)
-    dist: set[Pair] = set()
-    if isinstance(tau.nav, NavKind):
-        if tau.nav is NavKind.LT:
-            dist.add((0, 1))
-        elif tau.nav is NavKind.GT:
-            dist.add((1, 0))
-    elif isinstance(tau.nav, tuple):
-        if tau.nav[0]:
-            dist.add((0, 1))
-        if tau.nav[1]:
-            dist.add((1, 0))
-        if tau.x.t_diag:
-            dist.add((0, 0))
-        if tau.y.t_diag:
-            dist.add((1, 1))
-    return Structure(sig, 2, unary, binary, frozenset(dist))
+    return Structure(
+        sig,
+        len(types),
+        {p: frozenset(v) for p, v in unary.items()},
+        {r: frozenset(v) for r, v in binary.items()},
+        frozenset(dist),
+    )
+
+
+def pair_structure(tau: TwoType) -> Structure:
+    """The canonical 2-element structure realizing tau on the pair (0, 1)."""
+    nav = tau.nav
+    dist = nav if isinstance(nav, tuple) else (nav is NavKind.LT, nav is NavKind.GT)
+    return _realize(tau.sig, (tau.x, tau.y), tau.cross + (dist,))
 
 
 def eval_on_pair_type(f: Formula, tau: TwoType) -> bool:

@@ -41,6 +41,7 @@ from .logic import (
     free_vars,
     is_quantifier_free,
     neg,
+    rewrite,
     simplify,
     substitute,
     swap_xy,
@@ -69,19 +70,20 @@ def strip_distinct_eq(f: Formula) -> Formula:
 
     Equality atoms between x and y become falsum; the result is
     equality-free.  Only valid in contexts that quantify over distinct
-    pairs.
+    pairs.  Quantified subformulas are left as they are.
     """
-    if isinstance(f, Eq):
-        return FALSE if f.left != f.right else TRUE
-    if isinstance(f, Not):
-        return neg(strip_distinct_eq(f.sub))
-    if isinstance(f, And):
-        return And(tuple(strip_distinct_eq(s) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(strip_distinct_eq(s) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(strip_distinct_eq(f.left), strip_distinct_eq(f.right))
-    return f
+
+    def fn(g: Formula) -> Optional[Formula]:
+        if isinstance(g, Eq):
+            return FALSE if g.left != g.right else TRUE
+        return g if isinstance(g, (Forall, Exists)) else None
+
+    return rewrite(f, fn)
+
+
+def _matrix_only(g: Formula) -> None:
+    if isinstance(g, (Forall, Exists)):
+        raise LogicError("quantifier inside a matrix formula")
 
 
 def _check_matrix(f: Formula, what: str) -> set[Atom]:
@@ -268,24 +270,7 @@ def _merge_hits(hits):
 
 
 def _replace_subformula(f: Formula, target: Formula, replacement: Formula) -> Formula:
-    if f == target:
-        return replacement
-    if isinstance(f, (Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        return Not(_replace_subformula(f.sub, target, replacement))
-    if isinstance(f, And):
-        return And(tuple(_replace_subformula(s, target, replacement) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(_replace_subformula(s, target, replacement) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(
-            _replace_subformula(f.left, target, replacement),
-            _replace_subformula(f.right, target, replacement),
-        )
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _replace_subformula(f.body, target, replacement))
-    raise LogicError(f"bad formula node {f!r}")
+    return rewrite(f, lambda g: replacement if g == target else None)
 
 
 def _innermost_quantified(f: Formula, binder: Optional[str] = None):
@@ -599,30 +584,19 @@ def _eval_literals(
 ) -> Formula:
     """Replace unary literals by their truth under the given 1-types and
     navigational atoms per the nav table; everything else is kept."""
-    if isinstance(f, Atom):
-        if f.pred in sig.unary:
-            if f.args == ("x",) and x_type is not None:
-                return TRUE if x_type.unary_polarity(f.pred) else FALSE
-            if f.args == ("y",) and y_type is not None:
-                return TRUE if y_type.unary_polarity(f.pred) else FALSE
-            return f
-        if nav is not None and (f.pred, f.args) in nav:
-            return nav[(f.pred, f.args)]
-        return f
-    if isinstance(f, Eq):
-        return f
-    if isinstance(f, Not):
-        return neg(_eval_literals(f.sub, sig, x_type, y_type, nav))
-    if isinstance(f, And):
-        return And(tuple(_eval_literals(s, sig, x_type, y_type, nav) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(_eval_literals(s, sig, x_type, y_type, nav) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(
-            _eval_literals(f.left, sig, x_type, y_type, nav),
-            _eval_literals(f.right, sig, x_type, y_type, nav),
-        )
-    raise LogicError("quantifier inside a matrix formula")
+
+    def fn(g: Formula) -> Optional[Formula]:
+        _matrix_only(g)
+        if not isinstance(g, Atom):
+            return None
+        if g.pred in sig.unary:
+            tp = x_type if g.args == ("x",) else y_type if g.args == ("y",) else None
+            if tp is None:
+                return g
+            return TRUE if tp.unary_polarity(g.pred) else FALSE
+        return nav.get((g.pred, g.args), g) if nav is not None else g
+
+    return rewrite(f, fn)
 
 
 def to_basic(
@@ -821,21 +795,12 @@ _T_SUBST = {
 def _substitute_cross_t(f: Formula, s: str) -> Formula:
     """Replace cross atoms of t by their truth under the derived relation s;
     diagonal t atoms stay."""
-    if isinstance(f, Atom):
-        return _T_SUBST[s].get((f.pred, f.args), f)
-    if isinstance(f, Eq):
-        return f
-    if isinstance(f, Not):
-        return neg(_substitute_cross_t(f.sub, s))
-    if isinstance(f, And):
-        return And(tuple(_substitute_cross_t(g, s) for g in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(_substitute_cross_t(g, s) for g in f.subs))
-    if isinstance(f, Implies):
-        return Implies(
-            _substitute_cross_t(f.left, s), _substitute_cross_t(f.right, s)
-        )
-    raise LogicError("quantifier inside a matrix formula")
+
+    def fn(g: Formula) -> Optional[Formula]:
+        _matrix_only(g)
+        return _T_SUBST[s].get((g.pred, g.args), g) if isinstance(g, Atom) else None
+
+    return rewrite(f, fn)
 
 
 def to_transitive_nf(

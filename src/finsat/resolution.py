@@ -40,62 +40,32 @@ from .logic import (
     TwoType,
     VerificationFailure,
     atom,
+    atom_key,
     conj,
     disj,
     enumerate_one_types,
     evaluate,
     is_quantifier_free,
+    key_formula,
     neg,
     one_type_of,
     simplify,
     substitute,
+    swap_key,
     two_type_of,
 )
 from .normal_forms import StandardNF, WeakNF, fresh_names, strip_distinct_eq
 
-# A literal is (sign, atom-key); atom keys:
-#   ("u", p, v)        unary
-#   ("b", r, u, v)     ordinary binary, cross or diagonal
-#   ("lt", u, v)       the partial order, u != v
-#   ("sim",)           incomparability of x and y
-#   ("t", u, v)        the transitive relation
+# A literal is (sign, atom key); logic.atom_key names the atoms.
 Literal = tuple[bool, tuple]
 Clause = frozenset  # of Literal
 ClauseSet = frozenset  # of Clause
 
 
-def _atom_key(a: Atom, sig: Signature) -> tuple:
-    if a.pred in sig.unary:
-        return ("u", a.pred, a.args[0])
-    if a.pred in sig.binary:
-        return ("b", a.pred, a.args[0], a.args[1])
-    if a.pred == "<" and sig.dist is DistKind.PARTIAL_ORDER:
-        return ("lt", a.args[0], a.args[1])
-    if a.pred == "~" and sig.dist is DistKind.PARTIAL_ORDER:
-        return ("sim",)
-    if a.pred == "t" and sig.dist is DistKind.TRANSITIVE:
-        return ("t", a.args[0], a.args[1])
-    raise LogicError(f"predicate {a.pred!r} not in signature")
-
-
-def _key_formula(key: tuple) -> Formula:
-    if key[0] == "u":
-        return Atom(key[1], (key[2],))
-    if key[0] == "b":
-        return Atom(key[1], (key[2], key[3]))
-    if key[0] == "lt":
-        return Atom("<", (key[1], key[2]))
-    if key[0] == "sim":
-        return Atom("~", ("x", "y"))
-    if key[0] == "t":
-        return Atom("t", (key[1], key[2]))
-    raise LogicError(f"bad atom key {key!r}")
-
-
 def clause_formula(clause: Clause) -> Formula:
     lits = sorted(clause)
     return disj(tuple(
-        _key_formula(k) if sign else neg(_key_formula(k)) for sign, k in lits
+        key_formula(k) if sign else neg(key_formula(k)) for sign, k in lits
     ))
 
 
@@ -117,7 +87,7 @@ def cnf(f: Formula, sig: Signature) -> ClauseSet:
             empty = (g == TRUE) == pol
             return [] if empty else [frozenset()]
         if isinstance(g, Atom):
-            return [frozenset(((pol, _atom_key(g, sig)),))]
+            return [frozenset(((pol, atom_key(g, sig)),))]
         if isinstance(g, Eq):
             raise PreconditionError("clauses are equality-free")
         if isinstance(g, Not):
@@ -138,21 +108,9 @@ def cnf(f: Formula, sig: Signature) -> ClauseSet:
 
 def transpose(cs: ClauseSet) -> ClauseSet:
     """Swap the roles of x and y in every literal; an involution."""
-    flip = {"x": "y", "y": "x"}
-
-    def swap_key(key: tuple) -> tuple:
-        if key[0] == "u":
-            return ("u", key[1], flip[key[2]])
-        if key[0] == "b":
-            return ("b", key[1], flip[key[2]], flip[key[3]])
-        if key[0] in ("lt", "t"):
-            return (key[0], flip[key[1]], flip[key[2]])
-        return key  # sim is symmetric
-
-    out = set()
-    for clause in cs:
-        out.add(frozenset((sign, swap_key(k)) for sign, k in clause))
-    return frozenset(out)
+    return frozenset(
+        frozenset((sign, swap_key(k)) for sign, k in clause) for clause in cs
+    )
 
 
 def _cross_atoms_of(clause: Clause) -> list[tuple]:
@@ -189,34 +147,18 @@ def strip_binary(cs: ClauseSet) -> ClauseSet:
 
 
 def type_literals(tau: TwoType) -> frozenset[Literal]:
-    out: set[Literal] = set()
-    sig = tau.sig
-    for tp, var in ((tau.x, "x"), (tau.y, "y")):
-        for key, bit in zip(sig.one_type_keys(), tp.bits):
-            if key[0] == "u":
-                out.add((bit, ("u", key[1], var)))
-            elif key[0] == "diag":
-                out.add((bit, ("b", key[1], var, var)))
-            else:
-                out.add((bit, ("t", var, var)))
-    for r, (fwd, bwd) in zip(sig.binary, tau.cross):
-        out.add((fwd, ("b", r, "x", "y")))
-        out.add((bwd, ("b", r, "y", "x")))
-    out.update(_nav_literals(tau.nav))
-    return frozenset(out)
+    out = semi_type_literals(tau)
+    for r, (fwd, bwd) in zip(tau.sig.binary, tau.cross):
+        out |= {(fwd, ("b", r, "x", "y")), (bwd, ("b", r, "y", "x"))}
+    return out
 
 
-def semi_type_literals(tm: SemiDiagonalTwoType) -> frozenset[Literal]:
-    out: set[Literal] = set()
-    sig = tm.sig
-    for tp, var in ((tm.x, "x"), (tm.y, "y")):
-        for key, bit in zip(sig.one_type_keys(), tp.bits):
-            if key[0] == "u":
-                out.add((bit, ("u", key[1], var)))
-            elif key[0] == "diag":
-                out.add((bit, ("b", key[1], var, var)))
-            else:
-                out.add((bit, ("t", var, var)))
+def semi_type_literals(tm: SemiDiagonalTwoType | TwoType) -> frozenset[Literal]:
+    """The literals of a (semi-diagonal) 2-type but its ordinary binary
+    cross atoms."""
+    keys = tm.sig.one_type_keys()
+    out = set(zip(tm.x.bits, keys))
+    out.update(zip(tm.y.bits, map(swap_key, keys)))
     out.update(_nav_literals(tm.nav))
     return frozenset(out)
 
@@ -406,15 +348,15 @@ def _assert_duplication(
 # ---------------------------------------------------------------------------
 
 
-def labelling_formula(preds: Sequence[str], i: int, var: str = "x") -> Formula:
-    """The i-th conjunction of signed predicates; bit j of i picks the sign
-    of the j-th predicate."""
-    return conj(
-        tuple(
-            Atom(p, (var,)) if (i >> j) & 1 else neg(Atom(p, (var,)))
-            for j, p in enumerate(preds)
-        )
-    )
+def labels(preds: Sequence[str], count: int, args: tuple[str, ...]) -> list[Formula]:
+    """Labels 0..count-1 over preds: bit i of a label's index signs the
+    i-th predicate.  All labels share one atom and one negation per
+    predicate."""
+    lits = [(Not(Atom(p, args)), Atom(p, args)) for p in preds]
+    return [
+        conj(tuple(pair[(k >> i) & 1] for i, pair in enumerate(lits)))
+        for k in range(count)
+    ]
 
 
 @dataclass(frozen=True)
@@ -423,12 +365,6 @@ class CourtLabelling:
     court: tuple[int, ...]  # kings first
     q_preds: tuple[str, ...]
     qh_preds: tuple[tuple[str, ...], ...]  # per witness index
-
-    def court_label(self, i: int, var: str = "x") -> Formula:
-        return labelling_formula(self.q_preds, i, var)
-
-    def king_witness_label(self, h: int, i: int, var: str = "x") -> Formula:
-        return labelling_formula(self.qh_preds[h], i, var)
 
 
 def _mutually_exclusive(formulas: Sequence[Formula], sig: Signature) -> bool:
@@ -571,6 +507,9 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
     sig_star = sig1.with_unary(p_preds)
 
     labelling = CourtLabelling(kings, tuple(court), q_preds, tuple(qh_preds))
+    court_x = labels(q_preds, t_count, ("x",))
+    court_y = labels(q_preds, t_count, ("y",))
+    king_x = [labels(qh_preds[h], s_count, ("x",)) for h in range(m)]
 
     # Interpret the labels over the duplicated structure.
     unary = dict(big.unary)
@@ -632,49 +571,19 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
     for i in range(t_count):
         for j in range(i + 1, t_count):
             tau = two_type_of(big, court[i], court[j])
-            psi_parts.append(
-                Implies(
-                    And(
-                        (
-                            labelling.court_label(i, "x"),
-                            labelling.court_label(j, "y"),
-                        )
-                    ),
-                    tau.formula(),
-                )
-            )
+            psi_parts.append(Implies(And((court_x[i], court_y[j])), tau.formula()))
     for h in range(m):
         for i in range(s_count):
-            psi_parts.append(
-                Implies(
-                    And(
-                        (
-                            labelling.king_witness_label(h, i, "x"),
-                            labelling.court_label(i, "y"),
-                        )
-                    ),
-                    snf.thetas[h],
-                )
-            )
-    psi_parts.append(
-        disj(
-            tuple(labelling.court_label(i, "x") for i in range(s_count))
-            + tuple(lams)
-        )
-    )
+            psi_parts.append(Implies(And((king_x[h][i], court_y[i])), snf.thetas[h]))
+    psi_parts.append(disj(tuple(court_x[:s_count]) + tuple(lams)))
     gamma = cnf(simplify(conj(psi_parts)), sig_star)
 
     deltas = []
     for h in range(m):
-        guard = conj(
-            tuple(
-                neg(labelling.king_witness_label(h, i, "x"))
-                for i in range(s_count)
-            )
-        )
+        guard = conj(tuple(neg(label) for label in king_x[h]))
         deltas.append(cnf(simplify(Implies(guard, snf.thetas[h])), sig_star))
 
-    z = tuple(labelling.court_label(i, "x") for i in range(t_count))
+    z = tuple(court_x)
     spread = SpreadNF(
         sig_star, z, gamma, lams, mus, tuple(deltas), labelling
     )

@@ -53,6 +53,7 @@ from .logic import (
     free_vars,
     is_quantifier_free,
     neg,
+    rewrite,
     simplify,
     substitute,
 )
@@ -304,7 +305,7 @@ class _TypedEngine:
         for key in keys:
             if key[0] == "u":
                 choices.append((False, True) if key[1] in use.unary else (False,))
-            elif key[0] == "diag":
+            elif key[0] == "b":
                 choices.append((False, True) if key[1] in use.diag else (False,))
             else:
                 choices.append((False, True) if use.t_diag else (False,))
@@ -541,7 +542,7 @@ class _TypedEngine:
         for ridx, r in enumerate(sig.binary):
             ext = set()
             for a in range(self.n):
-                if types[a].polarity(("diag", r)):
+                if types[a].polarity(("b", r, "x", "x")):
                     ext.add((a, a))
             for (i, j), tau in self.taus.items():
                 fwd, bwd = tau.cross[ridx]
@@ -632,21 +633,7 @@ def smallest_model(
 
 def _subst_t_top(f: Formula) -> Formula:
     """Replace every atom of the distinguished transitive relation by verum."""
-    if isinstance(f, Atom):
-        return TRUE if f.pred == "t" else f
-    if isinstance(f, Eq):
-        return f
-    if isinstance(f, Not):
-        return neg(_subst_t_top(f.sub))
-    if isinstance(f, And):
-        return And(tuple(_subst_t_top(s) for s in f.subs))
-    if isinstance(f, Or):
-        return Or(tuple(_subst_t_top(s) for s in f.subs))
-    if isinstance(f, Implies):
-        return Implies(_subst_t_top(f.left), _subst_t_top(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _subst_t_top(f.body))
-    raise LogicError(f"bad formula node {f!r}")
+    return rewrite(f, lambda g: TRUE if isinstance(g, Atom) and g.pred == "t" else None)
 
 
 LOGIC_TAGS = ("l2", "l2-1po-u", "l2-1po", "l2-1t")

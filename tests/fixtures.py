@@ -17,11 +17,12 @@ from finsat.logic import (
     enumerate_one_types,
     evaluate,
     neg,
+    subformulas,
 )
 from finsat.factorization import Factorization, TypedPartialOrder, fc_holds, transitive_closure
 from finsat.normal_forms import BasicFormula, BasicKind, TransitiveNF
 from finsat.parsing import parse_formula
-from finsat.solver import random_structure
+from finsat.solver import random_formula, random_structure
 
 PO2 = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
 TS = Signature(("a", "b"), (), DistKind.TRANSITIVE)
@@ -34,6 +35,26 @@ MIN_INF = TransitiveNF(
     guards=(("b", "a", "b", "b"),),
     thetas=(tuple(parse_formula(t, TS) for t in ("false", "true", "false", "false")),),
 )
+
+
+#: One signature per kind: plain with a binary, partial order with two
+#: unaries, transitive, and partial order with a binary.
+REWRITE_SIGS = (
+    Signature(("p",), ("r",), DistKind.NONE),
+    Signature(("p", "q"), (), DistKind.PARTIAL_ORDER),
+    Signature(("p",), (), DistKind.TRANSITIVE),
+    Signature((), ("r",), DistKind.PARTIAL_ORDER),
+)
+
+
+def rewrite_cases(n_seeds: int = 30):
+    """Per seed and signature of REWRITE_SIGS: a random structure of size 2
+    or 3, and every distinct subformula of a random depth-3 sentence, so
+    open formulas in x and y and nested binders are all exercised."""
+    for seed in range(n_seeds):
+        for sig in REWRITE_SIGS:
+            s = random_structure(seed, sig, 2 + seed % 2)
+            yield s, set(subformulas(random_formula(seed, sig, depth=3)))
 
 
 def po_sig(n_unary: int) -> Signature:

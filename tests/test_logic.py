@@ -1,6 +1,8 @@
 """Core syntax, semantics and type machinery."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -20,14 +22,20 @@ from finsat.logic import (
     check_distinguished,
     enumerate_one_types,
     enumerate_semi_diagonal_types,
+    eval_unary_on_type,
     evaluate,
+    free_vars,
+    is_quantifier_free,
     one_type_of,
+    substitute,
+    swap_xy,
     two_type_of,
     NavKind,
 )
 from finsat.parsing import parse_formula
 from finsat.solver import random_formula, random_structure
 
+from fixtures import rewrite_cases
 from oracles import naive_eval
 
 PO = Signature(("p",), (), DistKind.PARTIAL_ORDER)
@@ -144,3 +152,91 @@ def test_evaluate_agrees_with_naive_oracle():
         s = random_structure(seed, use, 2 + seed % 4)
         f = random_formula(seed, use, depth=3)
         assert evaluate(s, f) == naive_eval(s, f)
+
+
+def test_swap_xy_is_an_involution_that_swaps_the_assignment():
+    for s, formulas in rewrite_cases():
+        for f in formulas:
+            g = swap_xy(f)
+            assert swap_xy(g) == f
+            for a, b in itertools.product(s.domain(), repeat=2):
+                assert evaluate(s, g, {"x": b, "y": a}) == evaluate(s, f, {"x": a, "y": b})
+
+
+def test_substitute_y_by_x_evaluates_at_the_diagonal():
+    for s, formulas in rewrite_cases():
+        for f in formulas:
+            g = substitute(f, {"y": "x"})
+            assert "y" not in free_vars(g)
+            for a in s.domain():
+                assert evaluate(s, g, {"x": a}) == evaluate(s, f, {"x": a, "y": a})
+
+
+def test_eval_unary_on_type_agrees_with_one_type_of():
+    seen = 0
+    for s, formulas in rewrite_cases():
+        for f in formulas:
+            for var in ("x", "y"):
+                if not is_quantifier_free(f) or not free_vars(f) <= {var}:
+                    continue
+                for a in s.domain():
+                    seen += 1
+                    assert eval_unary_on_type(f, one_type_of(s, a), var) == evaluate(s, f, {var: a})
+    assert seen > 100
+
+
+def test_eval_unary_on_type_errors():
+    tp = one_type_of(Structure(TR, 2, {}, {}, frozenset({(0, 0)})), 0)
+    assert eval_unary_on_type(Atom("t", ("x", "x")), tp)
+    with pytest.raises(PreconditionError):
+        eval_unary_on_type(Atom("p", ("y",)), tp)
+    with pytest.raises(SignatureMismatchError):
+        eval_unary_on_type(Atom("zz", ("x",)), tp)
+
+
+#: The functions that may branch on isinstance(_, Not): the formula
+#: rewriter and iterator, and the walkers that are hot or need their own
+#: shape (polarity, sharing, printing).  Any other formula walk goes
+#: through logic.rewrite or logic.subformulas.
+NOT_BRANCHES = {
+    "cnf.walk",
+    "free_vars",
+    "neg",
+    "rewrite",
+    "simplify",
+    "subformulas",
+    "_check_matrix",
+    "_collect_usage",
+    "_eval",
+    "_find_single_positive_exists",
+    "_fold",
+    "_innermost_quantified",
+    "_plan",
+    "_print",
+}
+
+
+def _not_branches(tree: ast.AST, scope: str = ""):
+    """The qualified name of each function holding an isinstance(_, Not)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _not_branches(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", None) == "isinstance"
+                and len(sub.args) == 2
+                and any(getattr(n, "id", None) == "Not" for n in ast.walk(sub.args[1]))
+            ):
+                yield scope
+
+
+def test_only_listed_functions_branch_on_negation():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "finsat"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for name in _not_branches(ast.parse(path.read_text())):
+            found.setdefault(name, path.name)
+    unlisted = {name: where for name, where in found.items() if name not in NOT_BRANCHES}
+    assert not unlisted, f"new isinstance(_, Not) ladders: {unlisted}; use logic.rewrite or logic.subformulas"

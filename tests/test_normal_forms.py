@@ -30,6 +30,7 @@ from finsat.normal_forms import (
     WeakNF,
     basic_set_formula,
     fc_subset,
+    strip_distinct_eq,
     to_basic,
     to_standard_nf,
     to_transitive_nf,
@@ -37,6 +38,8 @@ from finsat.normal_forms import (
 )
 from finsat.parsing import parse_formula, print_formula
 from finsat.solver import expansion_exists, find_model, random_formula, random_structure
+
+from fixtures import rewrite_cases
 
 L2 = Signature(("p", "q"), ("r",), DistKind.NONE)
 POU = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
@@ -296,3 +299,11 @@ def test_normal_forms_reject_misplaced_atoms():
         TransitiveNF((good, cross, good, good), (("g0", "g1", "g2", "g3"),), ((good,) * 4,))
     # A diagonal t atom is allowed.
     TransitiveNF((Atom("t", ("x", "x")),) * 4, (("g0", "g1", "g2", "g3"),), ((good,) * 4,))
+
+
+def test_strip_distinct_eq_agrees_on_distinct_pairs():
+    for s, formulas in rewrite_cases():
+        for f in formulas:
+            g = strip_distinct_eq(f)
+            for a, b in itertools.permutations(s.domain(), 2):
+                assert evaluate(s, g, {"x": a, "y": b}) == evaluate(s, f, {"x": a, "y": b})

@@ -8,6 +8,7 @@ import pytest
 from finsat.logic import (
     Atom,
     DistKind,
+    key_formula,
     Signature,
     Structure,
     enumerate_semi_diagonal_types,
@@ -35,6 +36,7 @@ from finsat.resolution import (
 )
 from finsat.solver import find_model, random_structure
 
+from fixtures import REWRITE_SIGS
 from oracles import naive_eval
 
 SIG = Signature(("p", "q"), ("r",), DistKind.PARTIAL_ORDER)
@@ -359,3 +361,12 @@ def test_reconstruct_rejects_non_models():
     if not evaluate(bogus, elim.weak.to_formula()):
         with pytest.raises(Exception):
             reconstruct_model(res.spread, elim, bogus)
+
+
+def test_type_literals_hold_in_their_structure():
+    for seed in range(20):
+        for sig in REWRITE_SIGS:
+            s = random_structure(seed, sig, 2 + seed % 2)
+            for a, b in itertools.permutations(s.domain(), 2):
+                for sign, key in type_literals(two_type_of(s, a, b)):
+                    assert evaluate(s, key_formula(key), {"x": a, "y": b}) == sign

@@ -9,7 +9,7 @@ import pytest
 from finsat.cdcl import CDCL
 from finsat.cliques import EnumerationBudget, cliquify
 from finsat.ground import GroundEngine
-from finsat.logic import And, DistKind, Signature, evaluate
+from finsat.logic import FALSE, TRUE, And, DistKind, Not, Signature, Structure, evaluate, subformulas
 from finsat.parsing import parse_formula
 from finsat.solver import (
     BudgetExceeded,
@@ -19,9 +19,10 @@ from finsat.solver import (
     random_formula,
     random_structure,
     smallest_model,
+    _subst_t_top,
 )
 
-from fixtures import MIN_INF, TS
+from fixtures import MIN_INF, TS, rewrite_cases
 from oracles import all_structures, cnf_satisfiable, unit_propagate
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
@@ -270,3 +271,16 @@ def test_cdcl_budget_counts_decisions():
 )
 def test_cdcl_loads_degenerate_clauses(clauses, sat):
     assert (_cdcl(3, clauses) is not None) == sat == cnf_satisfiable(3, clauses)
+
+
+def test_subst_t_top_agrees_on_the_total_relation():
+    for s, formulas in rewrite_cases():
+        if s.sig.dist is not DistKind.TRANSITIVE:
+            continue
+        total = Structure(s.sig, s.size, s.unary, s.binary, frozenset(itertools.product(s.domain(), repeat=2)))
+        for f in formulas:
+            g = _subst_t_top(f)
+            # Negations are rebuilt with neg, so no negated constant is left.
+            assert not any(isinstance(h, Not) and h.sub in (TRUE, FALSE) for h in subformulas(g))
+            for a, b in itertools.product(s.domain(), repeat=2):
+                assert evaluate(total, g, {"x": a, "y": b}) == evaluate(total, f, {"x": a, "y": b})
