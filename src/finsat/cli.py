@@ -2,19 +2,21 @@
 export.
 
 Exit codes: 0 success/satisfiable, 1 no model up to the bound (or a false
-check), 2 budget exhausted, 64 usage error (including an unreadable input
-file), 65 parse error, 70 internal assertion failure.
+check), 2 budget exhausted or enumeration refused, 64 usage error
+(including an unreadable input file), 65 parse error, 70 internal
+assertion failure or any other crash.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from typing import Optional
 
 from .logic import (
     DistKind,
+    EnumerationBudgetError,
     LogicError,
     Signature,
     Structure,
@@ -32,13 +34,14 @@ from .parsing import (
 )
 from .factorization import TypedPartialOrder, factorize_for, trivial_factorization
 from .normal_forms import (
+    basic_set_formula,
     to_basic,
     to_standard_nf,
     to_transitive_nf,
     weak_to_standard,
 )
 from .resolution import to_spread
-from .solver import LOGIC_TAGS, SearchBudget, decide, random_formula, random_structure
+from .solver import LOGIC_TAGS, SearchBudget, decide, expansion_exists, random_formula, random_structure
 from .verify import pipeline_verify
 
 EXIT_OK = 0
@@ -62,9 +65,7 @@ def _signature(args: argparse.Namespace) -> Signature:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    default = int(os.environ.get("FINSAT_BOUND", "6"))
-    bound = args.bound if getattr(args, "bound", None) else default
-    return SearchBudget(max_size=bound)
+    return SearchBudget() if args.bound is None else SearchBudget(max_size=args.bound)
 
 
 def _read(path: str) -> str:
@@ -160,9 +161,6 @@ def cmd_verify_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
-    from .normal_forms import basic_set_formula
-    from .solver import expansion_exists
-
     s = read_structure(_read(args.structure))
     tpo = TypedPartialOrder.from_structure(s)
     if args.formula:
@@ -287,9 +285,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except EnumerationBudgetError as e:
+        print(f"budget exhausted: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except LogicError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

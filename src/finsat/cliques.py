@@ -23,6 +23,7 @@ from .logic import (
     And,
     Atom,
     DistKind,
+    EnumerationBudgetError,
     Eq,
     Exists,
     FALSE,
@@ -363,10 +364,6 @@ def bound_cliques(s: Structure, tnf: TransitiveNF) -> Structure:
 # ---------------------------------------------------------------------------
 # Cells, diatoms and the cliquify reduction
 # ---------------------------------------------------------------------------
-
-
-class EnumerationBudgetError(LogicError):
-    """Raised when a cell or diatom enumeration would be too large."""
 
 
 @dataclass(frozen=True)

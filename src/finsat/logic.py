@@ -31,6 +31,10 @@ class BudgetExceeded(LogicError):
     """Raised when a search exhausts its node budget."""
 
 
+class EnumerationBudgetError(LogicError):
+    """Raised when an enumeration would be too large to run at all."""
+
+
 class VerificationFailure(LogicError):
     """An internal postcondition check failed; carries a reproduction bundle."""
 

@@ -17,6 +17,7 @@ from .logic import (
     And,
     Atom,
     DistKind,
+    EnumerationBudgetError,
     Eq,
     Exists,
     FALSE,
@@ -49,6 +50,9 @@ from .logic import (
 )
 
 S_ORDER = ("eq", "lt", "gt", "sim")
+
+#: to_basic enumerates all 1-types of its output signature: at most 2**10.
+MAX_BASIC_UNARY = 10
 
 
 def fresh_names(sig: Signature, base: str, count: int) -> tuple[str, ...]:
@@ -611,7 +615,8 @@ def to_basic(
     instantiated per 1-type, and strengthened to demand a witness of
     another 1-type where the direction allows it; the universal conjunct is
     instantiated per pair of 1-types and classified into the universal
-    shapes.
+    shapes.  Raises EnumerationBudgetError, before enumerating anything,
+    when the compiled signature has more than MAX_BASIC_UNARY predicates.
     """
     if sig.dist is not DistKind.PARTIAL_ORDER or sig.binary:
         raise PreconditionError("basic compilation needs a unary partial-order signature")
@@ -621,6 +626,9 @@ def to_basic(
     m = w.multiplicity
     labels = fresh_names(sig, "p", 3 * m)
     sig_star = sig.with_unary(labels)
+    if len(sig_star.unary) > MAX_BASIC_UNARY:
+        bits = len(sig_star.unary)
+        raise EnumerationBudgetError(f"{bits}-bit 1-types exceed the desk-scale enumeration budget")
     label_of = {
         (h, d): labels[3 * h + i]
         for h in range(m)

@@ -647,29 +647,27 @@ def decide(
 ) -> DecisionOutcome:
     """Bounded decision: search sizes 2..max_size, smallest model first.
 
-    For the transitive logic, single-clique satisfiability (a total
-    distinguished relation) is tested first by replacing its atoms with
-    verum; then general models are searched.  A negative answer is sound
-    only up to the bound and is labeled as such.
+    For the transitive logic, each size first tests single-clique
+    satisfiability (a total distinguished relation) by replacing its atoms
+    with verum, then searches general models of that size.  A negative
+    answer is sound only up to the bound and is labeled as such.
     """
     budget = budget or SearchBudget()
     _check_logic(sig, logic)
+    top = simplify(_subst_t_top(phi)) if logic == "l2-1t" else None
+    plain = Signature(sig.unary, sig.binary, DistKind.NONE)
     try:
-        if logic == "l2-1t":
-            plain = Signature(sig.unary, sig.binary, DistKind.NONE)
-            top = simplify(_subst_t_top(phi))
-            m = smallest_model(top, plain, budget)
+        for k in range(2, budget.max_size + 1):
+            m = None if top is None else find_model(top, plain, k, budget)
             if m is not None:
-                total = frozenset(
-                    (a, b) for a in m.domain() for b in m.domain()
-                )
-                full = Structure(sig, m.size, m.unary, m.binary, total)
-                if not evaluate(full, phi):
+                total = frozenset(itertools.product(m.domain(), repeat=2))
+                m = Structure(sig, m.size, m.unary, m.binary, total)
+                if not evaluate(m, phi):
                     raise LogicError("single-clique lift failed verification")
-                return DecisionOutcome.sat(full)
-        m = smallest_model(phi, sig, budget)
-        if m is not None:
-            return DecisionOutcome.sat(m)
+            else:
+                m = find_model(phi, sig, k, budget)
+            if m is not None:
+                return DecisionOutcome.sat(m)
         return DecisionOutcome.no_model_up_to(budget.max_size)
     except BudgetExceeded as e:
         return DecisionOutcome.unknown(str(e))

@@ -1,19 +1,26 @@
 """End-to-end pipeline verification.
 
 Runs the applicable transformation chain with every per-stage assertion
-enabled and reports the outcome per stage.  On a failed assertion, the
+enabled and reports the outcome per stage.  Each logic's stages are
+declared once, in ``CHAINS``, and a report lists exactly those, in order,
+unless it ends in a failed row or in one row for a check or search budget
+that escaped a stage.  A chain that stops early (no model at the bound, a
+refused enumeration, a single-clique model) gives the reason on the stage
+it stops at and skips the rest.
+
+The four block stages run as one function.  When one of them fails, the
 offending fixture is greedily minimized (drop constraints, then elements)
-before being attached to the report, because a small reproduction is the
+and reported in one row in their place, because a small reproduction is the
 useful artifact when one of these constructions breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .logic import (
-    DistKind,
+    EnumerationBudgetError,
     Formula,
     LogicError,
     Signature,
@@ -23,33 +30,46 @@ from .logic import (
 )
 from .normal_forms import (
     BasicFormula,
-    TransitiveNF,
+    WeakNF,
+    basic_set_formula,
+    fc_subset,
     to_basic,
     to_standard_nf,
     to_transitive_nf,
 )
-from .factorization import (
-    Factorization,
-    TypedPartialOrder,
-    factorize_for,
-    fc_holds,
-    fc_subset,
-    is_thin,
-    thin,
-)
+from .factorization import TypedPartialOrder, factorize_for, thin
 from .cuts import shrink_block_count
 from .subblocks import incomparable_witness_check, shrink_blocks
 from .resolution import eliminate_binaries, reconstruct_model, to_spread
 from .cliques import (
     EnumerationBudget,
-    EnumerationBudgetError,
     abstract_model,
     bound_cliques,
     cliques_of,
     cliquify,
     expand_model,
 )
+from .parsing import write_structure
 from .solver import BudgetExceeded, SearchBudget, smallest_model
+
+_IMPLIES = "normal form implies the input"
+_SNF = ("standard normal form", _IMPLIES)
+_BASIC = (
+    "basic compilation",
+    "basic-set model search",
+    "factorization (unitary, controlled)",
+    "thinning preserves the basic set",
+    "block-count reduction",
+    "block-size reduction",
+)
+
+#: The declared stages of each logic's chain, in report order.
+CHAINS = {
+    "l2": _SNF,
+    "l2-1po-u": _SNF + _BASIC,
+    "l2-1po": _SNF + ("spread normal form", "binary elimination") + _BASIC,
+    "l2-1t": ("transitive normal form", _IMPLIES, "clique bounding", "clique abstraction round trip"),
+}
 
 
 @dataclass
@@ -71,6 +91,15 @@ class VerificationReport:
     def add(self, stage: str, status: str, detail: str = "") -> None:
         self.stages.append(StageResult(stage, status, detail))
 
+    def step(self, status: str, detail: str = "") -> None:
+        """Record the next declared stage of this report's logic."""
+        self.add(CHAINS[self.logic][len(self.stages)], status, detail)
+
+    def skip_rest(self) -> None:
+        """Record every declared stage not yet reported as skipped."""
+        for stage in CHAINS[self.logic][len(self.stages) :]:
+            self.add(stage, "skipped")
+
     def render(self) -> str:
         lines = [f"pipeline verification ({self.logic})"]
         for s in self.stages:
@@ -80,129 +109,182 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def block_stages(tpo: TypedPartialOrder, psis: Sequence[BasicFormula]) -> tuple[str, ...]:
+    """Factorize and thin a model of the basic set, then run both block
+    reductions; the detail of each of the four stages, in order.  Raises
+    VerificationFailure when a stage breaks its postcondition."""
+    f = factorize_for(tpo, psis)
+    dotted = f.with_tpo(thin(f))
+    if not dotted.tpo.satisfies(psis):
+        raise VerificationFailure("thinning lost the basic set")
+    g = shrink_block_count(dotted, psis)
+    hat = shrink_blocks(g, psis)
+    bad = incomparable_witness_check(g, hat)
+    if bad:
+        raise VerificationFailure("; ".join(bad))
+    return (
+        f"{f.n_blocks} blocks, {len(fc_subset(psis))} controlled constraints",
+        "",
+        f"{dotted.n_blocks} -> {g.n_blocks} blocks, no equivalent cuts remain",
+        f"carrier {g.tpo.size} -> {hat.tpo.size}, basic set re-verified",
+    )
+
+
 def minimize_basic_failure(
-    tpo: TypedPartialOrder,
-    psis: Sequence[BasicFormula],
-    run: Callable[[TypedPartialOrder, Sequence[BasicFormula]], object],
+    tpo: TypedPartialOrder, psis: Sequence[BasicFormula]
 ) -> tuple[TypedPartialOrder, tuple[BasicFormula, ...]]:
-    """Greedy shrinking of a failing (order, basic set) fixture.
+    """Greedy shrinking of a fixture on which ``block_stages`` fails.
 
     Drops basic formulas one at a time, then carrier elements, keeping any
-    change under which the runner still raises a verification failure.
+    change under which the block stages still raise a verification failure.
     """
 
     def fails(t: TypedPartialOrder, ps: Sequence[BasicFormula]) -> bool:
         try:
-            run(t, ps)
+            block_stages(t, ps)
             return False
         except VerificationFailure:
             return True
         except LogicError:
             return False
 
+    def candidates(t: TypedPartialOrder, ps: tuple[BasicFormula, ...]):
+        for i in range(len(ps)):
+            yield t, ps[:i] + ps[i + 1 :]
+        for drop in range(t.size if t.size > 2 else 0):
+            keep = [a for a in t.carrier() if a != drop]
+            emap = {a: i for i, a in enumerate(keep)}
+            order = frozenset((emap[a], emap[b]) for a, b in t.order if a in emap and b in emap)
+            yield TypedPartialOrder(tuple(t.types[a] for a in keep), order), ps
+
     psis = tuple(psis)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(psis)):
-            cand = psis[:i] + psis[i + 1 :]
-            if fails(tpo, cand):
-                psis = cand
-                changed = True
+    while True:
+        for cand in candidates(tpo, psis):
+            if fails(*cand):
+                tpo, psis = cand
                 break
         else:
-            for drop in range(tpo.size):
-                if tpo.size <= 2:
-                    break
-                keep = [a for a in tpo.carrier() if a != drop]
-                emap = {a: i for i, a in enumerate(keep)}
-                cand_tpo = TypedPartialOrder(
-                    tuple(tpo.types[a] for a in keep),
-                    frozenset(
-                        (emap[a], emap[b])
-                        for a, b in tpo.order
-                        if a in emap and b in emap
-                    ),
-                )
-                if fails(cand_tpo, psis):
-                    tpo = cand_tpo
-                    changed = True
-                    break
-    return tpo, psis
+            return tpo, psis
+
+
+def _search_outcome(
+    report: VerificationReport, model: Optional[Structure], phi: Formula, budget: SearchBudget
+) -> None:
+    """Record whether the normal form's smallest model satisfies the input."""
+    if model is None:
+        report.step("skipped", f"no model up to size {budget.max_size}")
+    elif evaluate(model, phi):
+        report.step("pass", "checked on the found model")
+    else:
+        report.step("fail")
 
 
 def _po_unary_chain(
-    report: VerificationReport,
-    psis: tuple[BasicFormula, ...],
-    sig_star: Signature,
-    budget: SearchBudget,
+    report: VerificationReport, w: WeakNF, sig: Signature, budget: SearchBudget
 ) -> None:
-    from .normal_forms import basic_set_formula
-
+    try:
+        psis, sig_star = to_basic(w, sig)
+    except EnumerationBudgetError as e:
+        report.step("skipped", str(e))
+        return
+    if len(sig_star.unary) != len(sig.unary) + 3 * w.multiplicity:
+        report.step("fail", "signature growth is not 3m")
+        return
+    report.step("pass", f"{len(psis)} basic formulas, signature growth exactly {3 * w.multiplicity}")
     model = smallest_model(basic_set_formula(psis), sig_star, budget)
     if model is None:
-        report.add(
-            "basic-set model search",
-            "pass",
-            f"no model up to size {budget.max_size}; block stages skipped",
-        )
-        for stage in (
-            "factorization (unitary, controlled)",
-            "thinning preserves the basic set",
-            "block-count reduction",
-            "block-size reduction",
-        ):
-            report.add(stage, "skipped")
+        report.step("pass", f"no model up to size {budget.max_size}")
         return
-    report.add("basic-set model search", "pass", f"model of size {model.size}")
+    report.step("pass", f"model of size {model.size}")
     tpo = TypedPartialOrder.from_structure(model)
-
-    def run_blocks(t: TypedPartialOrder, ps: Sequence[BasicFormula]) -> None:
-        f = factorize_for(t, ps)
-        dotted = f.with_tpo(thin(f))
-        if not dotted.tpo.satisfies(ps):
-            raise VerificationFailure("thinning lost the basic set")
-        g = shrink_block_count(dotted, ps)
-        hat = shrink_blocks(g, ps)
-        bad = incomparable_witness_check(g, hat)
-        if bad:
-            raise VerificationFailure("; ".join(bad))
-
     try:
-        f = factorize_for(tpo, psis)
-        report.add(
-            "factorization (unitary, controlled)",
-            "pass",
-            f"{f.n_blocks} blocks, {len(fc_subset(psis))} controlled constraints",
-        )
-        dotted = f.with_tpo(thin(f))
-        if not dotted.tpo.satisfies(psis):
-            raise VerificationFailure("thinning lost the basic set")
-        report.add("thinning preserves the basic set", "pass")
-        g = shrink_block_count(dotted, psis)
-        report.add(
-            "block-count reduction",
-            "pass",
-            f"{dotted.n_blocks} -> {g.n_blocks} blocks, no equivalent cuts remain",
-        )
-        hat = shrink_blocks(g, psis)
-        bad = incomparable_witness_check(g, hat)
-        if bad:
-            raise VerificationFailure("; ".join(bad))
-        report.add(
-            "block-size reduction",
-            "pass",
-            f"carrier {g.tpo.size} -> {hat.tpo.size}, basic set re-verified",
-        )
+        details = block_stages(tpo, psis)
     except VerificationFailure as e:
-        small_tpo, small_psis = minimize_basic_failure(tpo, psis, run_blocks)
-        from .parsing import write_structure
-
+        small_tpo, small_psis = minimize_basic_failure(tpo, psis)
         bundle = (
             write_structure(small_tpo.to_structure())
             + f"# {len(small_psis)} basic formulas retained\n"
         )
         report.add("block stages", "fail", f"{e}\nminimized:\n{bundle}")
+        return
+    for detail in details:
+        report.step("pass", detail)
+
+
+def _snf_chain(
+    report: VerificationReport, phi: Formula, sig: Signature, budget: SearchBudget
+) -> None:
+    snf, sig1 = to_standard_nf(phi, sig)
+    report.step(
+        "pass",
+        f"multiplicity {snf.multiplicity}, {len(sig1.unary) - len(sig.unary)} fresh predicates",
+    )
+    model = smallest_model(snf.to_formula(), sig1, budget)
+    _search_outcome(report, model, phi, budget)
+    if not report.ok or report.logic == "l2":
+        return
+    if report.logic == "l2-1po-u":
+        _po_unary_chain(report, snf.to_weak(), sig1, budget)
+        return
+    if model is None:
+        return
+    spread_res = to_spread(snf, model)
+    if not evaluate(spread_res.model, phi):
+        report.step("fail", "witness model lost the input")
+        return
+    report.step(
+        "pass",
+        f"multiplicity {spread_res.spread.multiplicity}, witness model of size {spread_res.model.size}",
+    )
+    elim = eliminate_binaries(spread_res.spread)
+    m2 = smallest_model(elim.weak.to_formula(), elim.sig_prime, budget)
+    if m2 is None:
+        report.step("fail", "eliminated formula lost satisfiability at the bound")
+        return
+    if not evaluate(reconstruct_model(spread_res.spread, elim, m2), phi):
+        report.step("fail", "reconstructed model fails the input")
+        return
+    report.step("pass", f"model of size {m2.size} reconstructed and re-verified")
+    _po_unary_chain(report, elim.weak, elim.sig_prime, budget)
+
+
+def _transitive_chain(
+    report: VerificationReport,
+    phi: Formula,
+    sig: Signature,
+    budget: SearchBudget,
+    enum_budget: Optional[EnumerationBudget],
+) -> None:
+    tnf, sig1 = to_transitive_nf(phi, sig)
+    report.step(
+        "pass",
+        f"multiplicity {tnf.multiplicity}, 4m = {4 * tnf.multiplicity} guard predicates",
+    )
+    model = smallest_model(tnf.to_formula(), sig1, budget)
+    _search_outcome(report, model, phi, budget)
+    if model is None or not report.ok:
+        return
+    bounded = bound_cliques(model, tnf)
+    report.step("pass", f"size {model.size} -> {bounded.size}, formula re-verified")
+    dec = cliques_of(bounded)
+    if len(dec.cliques) < 2:
+        report.step("skipped", "single-clique model")
+        return
+    n = max(len(c) for c in dec.cliques)
+    if enum_budget is None:
+        enum_budget = EnumerationBudget(
+            max_unary=EnumerationBudget.max_unary + 4 * tnf.multiplicity
+        )
+    try:
+        res = cliquify(tnf, sig1, n, enum_budget)
+    except EnumerationBudgetError as e:
+        report.step("skipped", str(e))
+        return
+    hat = abstract_model(res, bounded)
+    back = expand_model(res, hat)
+    report.step(
+        "pass", f"{bounded.size} elements -> {hat.size} cliques -> {back.size} elements"
+    )
 
 
 def pipeline_verify(
@@ -216,155 +298,21 @@ def pipeline_verify(
     stage's postconditions checked; the report is the oracle output.  A
     model search that exhausts its node budget ends the report with an
     'unknown' stage.  Without ``enum_budget``, the clique round trip runs
-    under the default budget with the transitive normal form's 4m guard
-    predicates added to ``max_unary``."""
+    under the default budget with the normal form's 4m guard predicates
+    added to ``max_unary``."""
+    if logic not in CHAINS:
+        raise LogicError(f"unknown logic tag {logic!r}")
     budget = budget or SearchBudget()
     report = VerificationReport(logic)
     try:
-        if logic in ("l2", "l2-1po-u", "l2-1po"):
-            snf, sig1 = to_standard_nf(phi, sig)
-            report.add(
-                "standard normal form",
-                "pass",
-                f"multiplicity {snf.multiplicity}, {len(sig1.unary) - len(sig.unary)} fresh predicates",
-            )
-            model = smallest_model(snf.to_formula(), sig1, budget)
-            if model is not None and not evaluate(model, phi):
-                report.add("normal form implies the input", "fail")
-                return report
-            report.add(
-                "normal form implies the input",
-                "pass" if model is not None else "skipped",
-                "checked on the found model" if model is not None else "no model at the bound",
-            )
-            if logic == "l2":
-                return report
-            if logic == "l2-1po":
-                if model is None:
-                    report.add("spread normal form", "skipped", "no model at the bound")
-                    return report
-                spread_res = to_spread(snf, model)
-                if not evaluate(spread_res.model, phi):
-                    report.add("spread normal form", "fail", "witness model lost the input")
-                    return report
-                report.add(
-                    "spread normal form",
-                    "pass",
-                    f"multiplicity {spread_res.spread.multiplicity}, witness model of size {spread_res.model.size}",
-                )
-                elim = eliminate_binaries(spread_res.spread)
-                m2 = smallest_model(elim.weak.to_formula(), elim.sig_prime, budget)
-                if m2 is None:
-                    report.add(
-                        "binary elimination",
-                        "fail",
-                        "eliminated formula lost satisfiability at the bound",
-                    )
-                    return report
-                rebuilt = reconstruct_model(spread_res.spread, elim, m2)
-                if not evaluate(rebuilt, phi):
-                    report.add("binary elimination", "fail", "reconstructed model fails the input")
-                    return report
-                report.add(
-                    "binary elimination",
-                    "pass",
-                    f"model of size {m2.size} reconstructed and re-verified",
-                )
-                # The eliminated signature grows by court labels, family
-                # labels and diagonal markers; compiling it to basic
-                # formulas enumerates 1-types over all of them plus 3m
-                # direction labels, which is the construction's genuine
-                # doubly exponential step.  Refuse beyond desk scale.
-                bits = len(elim.sig_prime.unary) + 3 * elim.weak.multiplicity
-                if 2**bits > 1024:
-                    report.add(
-                        "basic compilation",
-                        "skipped",
-                        f"{bits}-bit 1-types exceed the desk-scale enumeration budget",
-                    )
-                    for stage in (
-                        "basic-set model search",
-                        "factorization (unitary, controlled)",
-                        "thinning preserves the basic set",
-                        "block-count reduction",
-                        "block-size reduction",
-                    ):
-                        report.add(stage, "skipped")
-                    return report
-                psis, sig_star = to_basic(elim.weak, elim.sig_prime)
-                report.add(
-                    "basic compilation",
-                    "pass",
-                    f"{len(psis)} basic formulas over {len(sig_star.unary)} unary predicates",
-                )
-                _po_unary_chain(report, psis, sig_star, budget)
-                return report
-            # l2-1po-u
-            psis, sig_star = to_basic(snf.to_weak(), sig1)
-            if len(sig_star.unary) != len(sig1.unary) + 3 * snf.multiplicity:
-                report.add("basic compilation", "fail", "signature growth is not 3m")
-                return report
-            report.add(
-                "basic compilation",
-                "pass",
-                f"{len(psis)} basic formulas, signature growth exactly {3 * snf.multiplicity}",
-            )
-            _po_unary_chain(report, psis, sig_star, budget)
-            return report
         if logic == "l2-1t":
-            tnf, sig1 = to_transitive_nf(phi, sig)
-            report.add(
-                "transitive normal form",
-                "pass",
-                f"multiplicity {tnf.multiplicity}, 4m = {4 * tnf.multiplicity} guard predicates",
-            )
-            model = smallest_model(tnf.to_formula(), sig1, budget)
-            if model is None:
-                report.add("transitive model search", "pass", f"no model up to size {budget.max_size}")
-                for stage in ("clique bounding", "clique abstraction round trip"):
-                    report.add(stage, "skipped")
-                return report
-            if not evaluate(model, phi):
-                report.add("normal form implies the input", "fail")
-                return report
-            report.add("normal form implies the input", "pass", "checked on the found model")
-            bounded = bound_cliques(model, tnf)
-            report.add(
-                "clique bounding",
-                "pass",
-                f"size {model.size} -> {bounded.size}, formula re-verified",
-            )
-            dec = cliques_of(bounded)
-            if len(dec.cliques) < 2:
-                report.add(
-                    "clique abstraction round trip", "skipped", "single-clique model"
-                )
-                return report
-            n = max(len(c) for c in dec.cliques)
-            if enum_budget is None:
-                enum_budget = EnumerationBudget(
-                    max_unary=EnumerationBudget.max_unary + 4 * tnf.multiplicity
-                )
-            try:
-                res = cliquify(tnf, sig1, n, enum_budget)
-            except EnumerationBudgetError as e:
-                report.add("clique abstraction round trip", "skipped", str(e))
-                return report
-            hat = abstract_model(res, bounded)
-            back = expand_model(res, hat)
-            if back.size > n * hat.size:
-                report.add("clique abstraction round trip", "fail", "size bound violated")
-                return report
-            report.add(
-                "clique abstraction round trip",
-                "pass",
-                f"{bounded.size} elements -> {hat.size} cliques -> {back.size} elements",
-            )
-            return report
-        raise LogicError(f"unknown logic tag {logic!r}")
-    except VerificationFailure as e:
-        report.add("pipeline", "fail", str(e))
+            _transitive_chain(report, phi, sig, budget, enum_budget)
+        else:
+            _snf_chain(report, phi, sig, budget)
+    except (VerificationFailure, BudgetExceeded) as e:
+        status = "fail" if isinstance(e, VerificationFailure) else "unknown"
+        report.add("pipeline", status, str(e))
         return report
-    except BudgetExceeded as e:
-        report.add("pipeline", "unknown", str(e))
-        return report
+    if report.ok:
+        report.skip_rest()
+    return report

@@ -84,3 +84,29 @@ def test_a_long_iff_chain_exits_65_at_once(formula_file, capsys):
     assert cli.main(["parse", "--unary", "p", path]) == cli.EXIT_PARSE
     assert time.perf_counter() - start < 1.0
     assert "'<->' nested deeper" in capsys.readouterr().err
+
+
+def test_bound_below_two_is_a_usage_error(formula_file, capsys):
+    args = ["decide", "--logic", "l2", "--unary", "p", "--bound", "0", formula_file("exists x p(x)")]
+    assert cli.main(args) == cli.EXIT_USAGE
+    assert "2-element convention" in capsys.readouterr().err
+
+
+def test_a_refused_basic_compilation_exits_2(formula_file, capsys):
+    # Three witness conjuncts over p and q compile to 2 + 9 = 11 bits.
+    text = (
+        "forall x exists y (x < y & p(y)) & forall x exists y (y < x & q(y))"
+        " & forall x exists y (x != y & !(x < y) & !(y < x))"
+    )
+    args = ["normalize", "--to", "basic", "--logic", "l2-1po-u", "--unary", "p,q", formula_file(text)]
+    assert cli.main(args) == cli.EXIT_UNKNOWN
+    assert "11-bit 1-types exceed" in capsys.readouterr().err
+
+
+def test_a_crash_exits_70_not_1(formula_file, monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_parse", crash)
+    assert cli.main(["parse", "--unary", "p", formula_file("exists x p(x)")]) == cli.EXIT_INTERNAL
+    assert "RuntimeError: boom" in capsys.readouterr().err

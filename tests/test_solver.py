@@ -43,6 +43,21 @@ def test_decide_sat_returns_a_verified_smallest_model():
     assert evaluate(out.model, phi)
 
 
+def test_decide_tries_both_searches_at_each_size():
+    # A single-clique model needs three elements; a model with a
+    # non-t pair needs only two.
+    sig = Signature(("p", "q", "r"), (), DistKind.TRANSITIVE)
+    phi = parse_formula(
+        "(exists x (p(x) & !q(x) & !r(x)) & exists x (q(x) & !p(x) & !r(x))"
+        " & exists x (r(x) & !p(x) & !q(x))) | exists x exists y (x != y & !t(x,y))",
+        sig,
+    )
+    assert find_model(phi, sig, 2) is not None
+    out = decide(phi, sig, "l2-1t", SearchBudget(max_size=4))
+    assert out.kind == "sat" and out.size == 2
+    assert evaluate(out.model, phi)
+
+
 def test_decide_no_model_up_to_the_bound():
     out = decide(parse_formula(AXIOM, T0), T0, "l2-1t", SearchBudget(max_size=3))
     assert out.kind == "no_model_up_to" and out.bound == 3 and out.model is None

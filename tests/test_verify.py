@@ -1,0 +1,153 @@
+"""pipeline_verify: the declared stage rows per logic, the basic-compilation
+refusal, and the failure minimizer."""
+
+import time
+
+import pytest
+
+import finsat.verify
+from finsat import cli
+from finsat.cliques import EnumerationBudget, EnumerationBudgetError
+from finsat.logic import TRUE, DistKind, Signature, VerificationFailure
+from finsat.normal_forms import WeakNF, to_basic
+from finsat.parsing import parse_formula
+from finsat.solver import SearchBudget
+from finsat.verify import pipeline_verify
+
+T0 = Signature((), (), DistKind.TRANSITIVE)
+TAB = Signature(("a", "b"), (), DistKind.TRANSITIVE)
+PO0 = Signature((), (), DistKind.PARTIAL_ORDER)
+PO_PQ = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
+PO_PR = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
+L2 = Signature(("p",), ("r",), DistKind.NONE)
+NODES = 100_000_000
+
+BLOCKS_SKIPPED = [
+    ("basic-set model search", "skipped", ""),
+    ("factorization (unitary, controlled)", "skipped", ""),
+    ("thinning preserves the basic set", "skipped", ""),
+    ("block-count reduction", "skipped", ""),
+    ("block-size reduction", "skipped", ""),
+]
+
+#: The benchmark's four pipeline_verify inputs at bound 4, plus one l2
+#: input: formula, signature, logic, node limit, enumeration budget, rows.
+CASES = {
+    "l2-1po-u": (
+        "forall x (p(x) -> exists y (x < y & q(y))) & exists x p(x)", PO_PQ, "l2-1po-u", NODES, None,
+        [
+            ("standard normal form", "pass", "multiplicity 2, 0 fresh predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+            ("basic compilation", "pass", "770 basic formulas, signature growth exactly 6"),
+            ("basic-set model search", "pass", "model of size 2"),
+            ("factorization (unitary, controlled)", "pass", "2 blocks, 0 controlled constraints"),
+            ("thinning preserves the basic set", "pass", ""),
+            ("block-count reduction", "pass", "2 -> 2 blocks, no equivalent cuts remain"),
+            ("block-size reduction", "pass", "carrier 2 -> 2, basic set re-verified"),
+        ],
+    ),
+    "l2-1po": (
+        "forall x exists y r(x,y) & exists x p(x)", PO_PR, "l2-1po", NODES, None,
+        [
+            ("standard normal form", "pass", "multiplicity 2, 0 fresh predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+            ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
+            ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
+            ("basic compilation", "skipped", "31-bit 1-types exceed the desk-scale enumeration budget"),
+        ]
+        + BLOCKS_SKIPPED,
+    ),
+    "l2-1t": (
+        "forall x exists y (x != y & !t(x,y) & !t(y,x))", T0, "l2-1t", NODES,
+        EnumerationBudget(max_unary=4),
+        [
+            ("transitive normal form", "pass", "multiplicity 1, 4m = 4 guard predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+            ("clique bounding", "pass", "size 2 -> 2, formula re-verified"),
+            ("clique abstraction round trip", "pass", "2 elements -> 2 cliques -> 2 elements"),
+        ],
+    ),
+    "l2-1t-budget": (
+        "forall x exists y (t(x,y) & !t(y,x) & b(y)) & exists x (a(x) & !t(x,x))", TAB, "l2-1t", 20_000, None,
+        [
+            ("transitive normal form", "pass", "multiplicity 2, 4m = 8 guard predicates"),
+            ("normal form implies the input", "skipped", "no model up to size 4"),
+            ("clique bounding", "skipped", ""),
+            ("clique abstraction round trip", "skipped", ""),
+        ],
+    ),
+    "l2": (
+        "forall x exists y r(x,y) & exists x p(x)", L2, "l2", NODES, None,
+        [
+            ("standard normal form", "pass", "multiplicity 2, 0 fresh predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+        ],
+    ),
+}
+
+
+def rows(report):
+    return [(s.stage, s.status, s.detail) for s in report.stages]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_rows(name):
+    text, sig, logic, nodes, enum, want = CASES[name]
+    budget = SearchBudget(max_size=4, node_limit=nodes)
+    report = pipeline_verify(parse_formula(text, sig), sig, logic, budget, enum)
+    assert rows(report) == want
+    assert [s[0] for s in want] == list(finsat.verify.CHAINS[logic])
+
+
+def test_to_basic_refuses_eleven_bits_at_once():
+    # m = 3 adds 9 direction labels to the 2 predicates of the signature.
+    w = WeakNF((), TRUE, (TRUE, TRUE, TRUE))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match="^11-bit 1-types exceed the desk-scale enumeration budget$"):
+        to_basic(w, PO_PQ)
+    assert time.perf_counter() - start < 1.0
+
+
+# Three witness conjuncts and no finite model: m = 3 over p and q.
+THREE_WITNESSES = (
+    "forall x exists y (x < y & p(y)) & forall x exists y (y < x & q(y))"
+    " & forall x exists y (x != y & !(x < y) & !(y < x))"
+)
+
+
+def test_unary_chain_skips_a_refused_compilation():
+    report = pipeline_verify(
+        parse_formula(THREE_WITNESSES, PO_PQ), PO_PQ, "l2-1po-u", SearchBudget(max_size=4)
+    )
+    assert rows(report) == [
+        ("standard normal form", "pass", "multiplicity 3, 0 fresh predicates"),
+        ("normal form implies the input", "skipped", "no model up to size 4"),
+        ("basic compilation", "skipped", "11-bit 1-types exceed the desk-scale enumeration budget"),
+    ] + BLOCKS_SKIPPED
+
+
+# Every element has an incomparable partner: 13 basic formulas, so the
+# minimizer's reruns stay cheap.
+INCOMPARABLE = "forall x exists y (x != y & !(x < y) & !(y < x))"
+
+
+def _broken_shrink_blocks(*args):
+    raise VerificationFailure("sub-block check broken on purpose")
+
+
+def test_block_failure_is_minimized(monkeypatch):
+    monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
+    report = pipeline_verify(parse_formula(INCOMPARABLE, PO0), PO0, "l2-1po-u", SearchBudget(max_size=4))
+    assert not report.ok
+    last = report.stages[-1]
+    assert (last.stage, last.status) == ("block stages", "fail")
+    assert last.detail.startswith("sub-block check broken on purpose\nminimized:\n")
+    assert last.detail.endswith("# 0 basic formulas retained\n")
+
+
+def test_verify_pipeline_exits_70_on_a_block_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
+    path = tmp_path / "phi.txt"
+    path.write_text(INCOMPARABLE)
+    assert cli.main(["verify-pipeline", "--logic", "l2-1po-u", "--bound", "4", str(path)]) == cli.EXIT_INTERNAL == 70
+    assert "[FAIL] block stages -- sub-block check broken on purpose" in capsys.readouterr().out
