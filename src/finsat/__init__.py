@@ -62,7 +62,7 @@ from .factorization import (
     thin,
     trivial_factorization,
 )
-from .cuts import Cut, cuts_equivalent, depths, frontier, reduce_at, shrink_block_count
+from .cuts import Cut, cuts_equivalent, frontier, reduce_at, shrink_block_count
 from .subblocks import incomparable_witness_check, shrink_blocks, sub_blocks
 from .resolution import (
     SpreadNF,

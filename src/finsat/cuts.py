@@ -19,12 +19,12 @@ from .logic import LogicError, OneType, Pair, PreconditionError, VerificationFai
 from .factorization import (
     Factorization,
     TypedPartialOrder,
-    fc_holds,
-    fc_subset,
+    block_invariant_violation,
     is_thin,
     transitive_closure,
 )
 from .normal_forms import BasicFormula
+from .parsing import write_structure
 
 
 @dataclass(frozen=True)
@@ -42,27 +42,8 @@ class Cut:
         return self.value > other.value
 
 
-def depths(f: Factorization) -> dict[int, int]:
-    """Longest ascending chain length from each block."""
-    memo: dict[int, int] = {}
-
-    def d(i: int) -> int:
-        if i not in memo:
-            succs = [j for j in range(f.n_blocks) if f.less(i, j)]
-            memo[i] = 1 + max((d(j) for j in succs), default=-1)
-        return memo[i]
-
-    for i in range(f.n_blocks):
-        d(i)
-    return memo
-
-
-def max_depth(f: Factorization) -> int:
-    return max(depths(f).values(), default=0)
-
-
 def cuts_of(f: Factorization) -> tuple[Cut, ...]:
-    return tuple(Cut(i + 0.5) for i in range(max_depth(f)))
+    return tuple(Cut(i + 0.5) for i in range(max(f.depths.values())))
 
 
 @dataclass(frozen=True)
@@ -82,9 +63,9 @@ class Frontier:
 
 
 def frontier(f: Factorization, cut: Cut) -> Frontier:
-    if not 0 < cut.value < max_depth(f):
+    d = f.depths
+    if not 0 < cut.value < max(d.values()):
         raise PreconditionError(f"cut {cut.value} out of range")
-    d = depths(f)
     below: dict[OneType, Pair] = {}
     above: dict[OneType, Pair] = {}
     for i in range(f.n_blocks):
@@ -116,14 +97,11 @@ def cuts_equivalent(
         raise PreconditionError("first cut must lie below the second")
     fr1 = frontier(f, chi)
     fr2 = frontier(f, chi_prime)
-    types1b = {f.block_types[i]: i for i, _ in fr1.below}
-    types2b = {f.block_types[i]: i for i, _ in fr2.below}
-    types1a = {f.block_types[i]: i for i, _ in fr1.above}
-    types2a = {f.block_types[i]: i for i, _ in fr2.above}
     mapping: dict[int, int] = {i: i for i in fr1.extremal}
-    for side1, side2 in ((types1b, types2b), (types1a, types2a)):
-        for pi, i in side1.items():
-            j = side2.get(pi)
+    for side1, side2 in ((fr1.below, fr2.below), (fr1.above, fr2.above)):
+        by_type = {f.block_types[j]: j for j, _ in side2}
+        for i, _ in side1:
+            j = by_type.get(f.block_types[i])
             if j is None:
                 return None
             if i in mapping and mapping[i] != j:
@@ -176,12 +154,12 @@ def reduce_at(
     """
     if mapping != cuts_equivalent(f, chi, chi_prime):
         raise PreconditionError("stale frontier map")
-    d = depths(f)
+    d = f.depths
     keep_below = [i for i in range(f.n_blocks) if d[i] > chi.value]
     keep_above = [i for i in range(f.n_blocks) if d[i] < chi_prime.value]
     survivors = sorted(set(keep_below) | set(keep_above))
     if len(survivors) >= f.n_blocks:
-        raise LogicError("reduction did not remove any block")
+        raise VerificationFailure("reduction did not remove any block")
     fr1 = frontier(f, chi)
     below_set = set(keep_below)
     above_set = set(keep_above)
@@ -244,19 +222,19 @@ def find_equivalent_cuts(f: Factorization) -> Optional[tuple[Cut, Cut, dict[int,
     return None
 
 
-def shrink_block_count(
-    f: Factorization, psis: Sequence[BasicFormula], check_each_step: bool = True
-) -> Factorization:
+def shrink_block_count(f: Factorization, psis: Sequence[BasicFormula]) -> Factorization:
     """Apply reductions until no two cuts are equivalent.
 
-    Preconditions: the typed partial order satisfies the basic set, the
-    factorization is unitary, controls the factor-controllable members and
-    is thin.  Every iterate is re-verified; a failure raises with a
+    Preconditions: the block invariants of ``block_invariant_violation``.
+    Every iterate is re-verified against them; a failure raises with a
     reproduction bundle, since these checks are the point of the exercise.
     """
-    _check_invariants(f, psis, "input")
     steps = 0
     while True:
+        broken = block_invariant_violation(f, psis)
+        if broken:
+            stage = f"after step {steps}" if steps else "input"
+            raise VerificationFailure(f"{broken} ({stage})", write_structure(f.tpo.to_structure()))
         hit = find_equivalent_cuts(f)
         if hit is None:
             return f
@@ -268,24 +246,3 @@ def shrink_block_count(
             raise VerificationFailure("block count did not decrease")
         if steps > before:
             raise VerificationFailure("reduction failed to terminate")
-        if check_each_step:
-            _check_invariants(f, psis, f"after step {steps}")
-
-
-def _check_invariants(f: Factorization, psis: Sequence[BasicFormula], stage: str) -> None:
-    from .parsing import write_structure
-
-    def bundle() -> str:
-        return write_structure(f.tpo.to_structure())
-
-    if not f.tpo.satisfies(psis):
-        raise VerificationFailure(f"basic set lost ({stage})", bundle())
-    if not f.is_unitary:
-        raise VerificationFailure(f"factorization not unitary ({stage})", bundle())
-    if not is_thin(f):
-        raise VerificationFailure(f"structure not thin ({stage})", bundle())
-    for psi in fc_subset(psis):
-        if not fc_holds(f, psi):
-            raise VerificationFailure(
-                f"factor-controllable member lost ({stage})", bundle()
-            )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .logic import (
     DistKind,
@@ -22,6 +22,7 @@ from .logic import (
     PreconditionError,
     Signature,
     Structure,
+    VerificationFailure,
     evaluate,
     one_type_of,
     order_violations,
@@ -44,6 +45,16 @@ def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
             seen.add(b)
             stack.extend(adj.get(b, ()))
         out.update((start, b) for b in seen)
+    return frozenset(out)
+
+
+def _extremal(types: Sequence[OneType], less) -> frozenset[int]:
+    """The indices that are minimal or maximal among those of their type."""
+    out = set()
+    for a, tp in enumerate(types):
+        same = [b for b, other in enumerate(types) if other == tp]
+        if not any(less(a, b) for b in same) or not any(less(b, a) for b in same):
+            out.add(a)
     return frozenset(out)
 
 
@@ -87,14 +98,7 @@ class TypedPartialOrder:
 
     @cached_property
     def extremal_elements(self) -> frozenset[int]:
-        out = set()
-        for a in self.carrier():
-            same = [b for b in self.carrier() if self.types[b] == self.types[a]]
-            if not any(self.less(a, b) for b in same) or not any(
-                self.less(b, a) for b in same
-            ):
-                out.add(a)
-        return frozenset(out)
+        return _extremal(self.types, self.less)
 
     def to_structure(self) -> Structure:
         sig = self.sig
@@ -158,6 +162,20 @@ class Factorization:
         return tuple(self.tpo.types[min(b)] for b in self.blocks)
 
     @cached_property
+    def depths(self) -> dict[int, int]:
+        """Longest ascending chain length from each block; 0 at the top.
+
+        The order is transitive, so a block has fewer blocks above it than
+        any block below it: ordering by that count visits successors first."""
+        above: dict[int, list[int]] = {i: [] for i in range(self.n_blocks)}
+        for i, j in self.order:
+            above[i].append(j)
+        out: dict[int, int] = {}
+        for i in sorted(above, key=lambda i: len(above[i])):
+            out[i] = 1 + max((out[j] for j in above[i]), default=-1)
+        return out
+
+    @cached_property
     def block_of(self) -> dict[int, int]:
         return {a: i for i, b in enumerate(self.blocks) for a in b}
 
@@ -183,14 +201,7 @@ class Factorization:
 
     @cached_property
     def extremal_blocks(self) -> frozenset[int]:
-        out = set()
-        for i in range(self.n_blocks):
-            same = [j for j in range(self.n_blocks) if self.block_types[j] == self.block_types[i]]
-            if not any(self.less(i, j) for j in same) or not any(
-                self.less(j, i) for j in same
-            ):
-                out.add(i)
-        return frozenset(out)
+        return _extremal(self.block_types, self.less)
 
     def covers(self) -> frozenset[Pair]:
         """Transitive reduction of the block order."""
@@ -376,10 +387,10 @@ def factorize_for(
         f = common_refinement(f, g)
     f = unit_refinement(f)
     if not f.is_unitary:
-        raise LogicError("unit refinement failed to produce a unitary factorization")
+        raise VerificationFailure("unit refinement failed to produce a unitary factorization")
     for psi in fc_subset(psis):
         if not fc_holds(f, psi):
-            raise LogicError("refinement lost a factor-controllable constraint")
+            raise VerificationFailure("refinement lost a factor-controllable constraint")
     return f
 
 
@@ -420,3 +431,19 @@ def thin(f: Factorization) -> TypedPartialOrder:
 
 def is_thin(f: Factorization) -> bool:
     return derived_orders(f).lessdot == f.tpo.order
+
+
+def block_invariant_violation(f: Factorization, psis: Sequence[BasicFormula]) -> Optional[str]:
+    """The first of the block reductions' four invariants that fails, or
+    None: the order satisfies the basic set, the factorization is unitary,
+    the order is thin over it, and it controls every factor-controllable
+    member of the basic set."""
+    if not f.tpo.satisfies(psis):
+        return "the basic set does not hold"
+    if not f.is_unitary:
+        return "the factorization is not unitary"
+    if not is_thin(f):
+        return "the order is not thin over the factorization"
+    if not all(fc_holds(f, psi) for psi in fc_subset(psis)):
+        return "a factor-controllable member is not controlled"
+    return None

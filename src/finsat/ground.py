@@ -48,6 +48,7 @@ from .logic import (
     Or,
     Signature,
     Structure,
+    VerificationFailure,
     atom_key,
     evaluate,
 )
@@ -245,7 +246,7 @@ class GroundEngine:
             return None
         s = self._decode(assignment)
         if not evaluate(s, self.phi):
-            raise LogicError("grounded engine produced a non-model; grounding is wrong")
+            raise VerificationFailure("grounded engine produced a non-model; grounding is wrong")
         return s
 
     def encode(self, n: int) -> bool:

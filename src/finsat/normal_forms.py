@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .logic import (
@@ -519,6 +520,11 @@ class BasicFormula:
         return self.kind in FC_KINDS
 
     def to_formula(self) -> Formula:
+        return self.formula
+
+    @cached_property
+    def formula(self) -> Formula:
+        """The basic formula as a sentence, built once per object."""
         k = self.kind
         a = self.alpha.formula("x") if self.alpha else None
         ay = self.alpha.formula("y") if self.alpha else None
@@ -564,7 +570,7 @@ class BasicFormula:
 
 
 def basic_set_formula(psis) -> Formula:
-    return conj(tuple(p.to_formula() for p in psis))
+    return conj(tuple(p.formula for p in psis))
 
 
 def fc_subset(psis) -> tuple[BasicFormula, ...]:

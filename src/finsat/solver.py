@@ -46,6 +46,7 @@ from .logic import (
     Structure,
     TRUE,
     TwoType,
+    VerificationFailure,
     conj,
     eval_on_pair_type,
     eval_unary_on_type,
@@ -528,7 +529,7 @@ class _TypedEngine:
         if self.shape.residual and not evaluate(s, conj(tuple(self.shape.residual))):
             return None
         if not evaluate(s, self.phi):
-            raise LogicError("typed engine produced a non-model; search tables are wrong")
+            raise VerificationFailure("typed engine produced a non-model; search tables are wrong")
         return s
 
     def _build(self) -> Structure:
@@ -663,7 +664,7 @@ def decide(
                 total = frozenset(itertools.product(m.domain(), repeat=2))
                 m = Structure(sig, m.size, m.unary, m.binary, total)
                 if not evaluate(m, phi):
-                    raise LogicError("single-clique lift failed verification")
+                    raise VerificationFailure("single-clique lift failed verification")
             else:
                 m = find_model(phi, sig, k, budget)
             if m is not None:

@@ -18,13 +18,12 @@ from typing import Sequence
 from .factorization import (
     Factorization,
     TypedPartialOrder,
-    fc_holds,
-    fc_subset,
-    is_thin,
+    block_invariant_violation,
     transitive_closure,
 )
 from .logic import LogicError, Pair, PreconditionError, VerificationFailure
 from .normal_forms import BasicFormula
+from .parsing import write_structure
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,15 @@ def shrink_blocks(f: Factorization, psis: Sequence[BasicFormula]) -> HatResult:
     """Replace every sub-block by at most two objects, preserving the basic
     set.
 
-    Preconditions: the order satisfies the basic set, the factorization is
-    unitary, controls the factor-controllable members, and the order is
-    thin over it.  The result satisfies the basic set (checked), its
-    factorization is isomorphic to the input's (checked), and its size is
-    at most twice the number of sub-blocks and at least 2.
+    Preconditions: the block invariants of ``block_invariant_violation``.
+    The result satisfies the basic set (checked), its factorization is
+    isomorphic to the input's (checked), and its size is at most twice the
+    number of sub-blocks and at least 2.
     """
+    broken = block_invariant_violation(f, psis)
+    if broken:
+        raise PreconditionError(broken)
     tpo = f.tpo
-    if not tpo.satisfies(psis):
-        raise PreconditionError("structure does not satisfy the basic set")
-    if not f.is_unitary:
-        raise PreconditionError("factorization must be unitary")
-    if not is_thin(f):
-        raise PreconditionError("structure must be thin over the factorization")
-    for psi in fc_subset(psis):
-        if not fc_holds(f, psi):
-            raise PreconditionError("factorization must control the basic set")
     subs = sub_blocks(f)
     object_of: dict[tuple[int, int], int] = {}
     sub_of_object: dict[int, int] = {}
@@ -180,8 +172,6 @@ def shrink_blocks(f: Factorization, psis: Sequence[BasicFormula]) -> HatResult:
     if hat_tpo.size > 2 * len(subs):
         raise VerificationFailure("shrunken carrier exceeds twice the sub-block count")
     if not hat_tpo.satisfies(psis):
-        from .parsing import write_structure
-
         raise VerificationFailure(
             "shrunken order lost the basic set",
             write_structure(tpo.to_structure()) + write_structure(hat_tpo.to_structure()),

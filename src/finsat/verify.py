@@ -9,9 +9,10 @@ refused enumeration, a single-clique model) gives the reason on the stage
 it stops at and skips the rest.
 
 The four block stages run as one function.  When one of them fails, the
-offending fixture is greedily minimized (drop constraints, then elements)
-and reported in one row in their place, because a small reproduction is the
-useful artifact when one of these constructions breaks.
+offending fixture is minimized (drop chunks of constraints, halving the
+chunk size down to single constraints, then drop elements) and reported in
+one row in their place, because a small reproduction is the useful artifact
+when one of these constructions breaks.
 """
 
 from __future__ import annotations
@@ -133,10 +134,14 @@ def block_stages(tpo: TypedPartialOrder, psis: Sequence[BasicFormula]) -> tuple[
 def minimize_basic_failure(
     tpo: TypedPartialOrder, psis: Sequence[BasicFormula]
 ) -> tuple[TypedPartialOrder, tuple[BasicFormula, ...]]:
-    """Greedy shrinking of a fixture on which ``block_stages`` fails.
+    """Shrink a fixture on which ``block_stages`` fails, by delta debugging
+    (Zeller and Hildebrandt, IEEE TSE 2002).
 
-    Drops basic formulas one at a time, then carrier elements, keeping any
-    change under which the block stages still raise a verification failure.
+    Tries dropping chunks of half the basic formulas, then a quarter, and
+    so on down to single formulas, then single carrier elements; any change
+    under which the block stages still raise a verification failure is
+    kept, and the search starts over.  It ends when no single formula or
+    element can go, so the result is 1-minimal.
     """
 
     def fails(t: TypedPartialOrder, ps: Sequence[BasicFormula]) -> bool:
@@ -149,8 +154,13 @@ def minimize_basic_failure(
             return False
 
     def candidates(t: TypedPartialOrder, ps: tuple[BasicFormula, ...]):
-        for i in range(len(ps)):
-            yield t, ps[:i] + ps[i + 1 :]
+        chunk = len(ps)
+        while chunk:
+            chunk = (chunk + 1) // 2
+            for i in range(0, len(ps), chunk):
+                yield t, ps[:i] + ps[i + chunk :]
+            if chunk == 1:
+                break
         for drop in range(t.size if t.size > 2 else 0):
             keep = [a for a in t.carrier() if a != drop]
             emap = {a: i for i, a in enumerate(keep)}

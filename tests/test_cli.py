@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from finsat import cli
-from finsat.logic import DistKind, Signature
+from finsat import cli, ground, solver
+from finsat.logic import DistKind, Signature, Structure
 from finsat.parsing import parse_formula
 from finsat.solver import SearchBudget
 from finsat.verify import pipeline_verify
@@ -110,3 +110,26 @@ def test_a_crash_exits_70_not_1(formula_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_parse", crash)
     assert cli.main(["parse", "--unary", "p", formula_file("exists x p(x)")]) == cli.EXIT_INTERNAL
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def _without_unary(s):
+    """The same structure with every unary predicate empty."""
+    return Structure(s.sig, s.size, {p: frozenset() for p in s.sig.unary}, s.binary, s.dist)
+
+
+@pytest.mark.parametrize("engine", ["typed", "grounded"])
+@pytest.mark.parametrize("command", ["decide", "verify-pipeline"])
+def test_a_non_model_from_an_engine_exits_70(engine, command, formula_file, monkeypatch, capsys):
+    # Each engine re-checks its model with evaluate; a model of exists x p(x)
+    # with p emptied fails that self-check, an internal fault, not misuse.
+    if engine == "typed":
+        build = solver._TypedEngine._build
+        monkeypatch.setattr(solver._TypedEngine, "_build", lambda self: _without_unary(build(self)))
+    else:
+        monkeypatch.setattr(solver, "_TYPED_TYPE_LIMIT", 0)  # route every formula to the grounded engine
+        decode = ground.GroundEngine._decode
+        monkeypatch.setattr(ground.GroundEngine, "_decode", lambda self, a: _without_unary(decode(self, a)))
+    args = [command, "--logic", "l2", "--unary", "p", formula_file("exists x p(x)")]
+    assert cli.main(args) == cli.EXIT_INTERNAL == 70
+    captured = capsys.readouterr()
+    assert f"{engine} engine produced a non-model" in captured.out + captured.err

@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
-from finsat.logic import PreconditionError, Signature, DistKind, enumerate_one_types
+from finsat.logic import PreconditionError, Signature, DistKind, VerificationFailure, enumerate_one_types
 from finsat.factorization import (
     Factorization,
     TypedPartialOrder,
+    block_invariant_violation,
     fc_holds,
     fc_subset,
     is_thin,
@@ -18,13 +19,13 @@ from finsat.cuts import (
     Cut,
     cuts_equivalent,
     cuts_of,
-    depths,
     find_equivalent_cuts,
     frontier,
-    max_depth,
     reduce_at,
     shrink_block_count,
 )
+from finsat.normal_forms import BasicFormula, BasicKind
+from finsat.subblocks import shrink_blocks
 
 from fixtures import PO2, ladder_fixture, random_tpo, sample_true_basic_set
 from oracles import frontier_map_by_search, longest_path_lengths
@@ -52,12 +53,11 @@ def blocks_factorization(block_types, block_sizes, block_edges):
 
 def test_depths_examples():
     f = blocks_factorization([T2[1], T2[2], T2[1]], [1, 1, 1], [(0, 1), (1, 2)])
-    d = depths(f)
-    assert d == {0: 2, 1: 1, 2: 0}
-    assert max_depth(f) == 2
+    assert f.depths == {0: 2, 1: 1, 2: 0}
+    assert cuts_of(f) == (Cut(0.5), Cut(1.5))
     # a block with no successor has depth 0
     lone = blocks_factorization([T2[1], T2[2]], [1, 1], [])
-    assert depths(lone) == {0: 0, 1: 0}
+    assert lone.depths == {0: 0, 1: 0}
 
 
 def test_depths_diamond_matches_brute_force():
@@ -66,8 +66,8 @@ def test_depths_diamond_matches_brute_force():
         [1, 1, 1, 1],
         [(0, 1), (0, 2), (1, 3), (2, 3)],
     )
-    assert depths(f) == longest_path_lengths(f.n_blocks, f.order)
-    assert depths(f)[0] == 2
+    assert f.depths == longest_path_lengths(f.n_blocks, f.order)
+    assert f.depths[0] == 2
 
 
 def test_frontier_two_chain():
@@ -89,7 +89,7 @@ def test_frontier_type_absent_below():
 def test_frontier_matches_independent_scan():
     for shape in range(10):
         fact, _ = ladder_fixture(shape)
-        d = depths(fact)
+        d = fact.depths
         for cut in cuts_of(fact):
             fr = frontier(fact, cut)
             for pi in set(fact.block_types):
@@ -120,8 +120,7 @@ def test_no_equivalence_across_extremal_blocks():
     )
     # type-3 occurs once, in the middle: it is extremal, so cuts straddling
     # it cannot be equivalent
-    d = depths(f)
-    mid = d[2]
+    mid = f.depths[2]
     for chi_val in (mid + 0.5,):
         for chi_prime_val in (mid - 0.5,):
             assert cuts_equivalent(f, Cut(chi_val), Cut(chi_prime_val)) is None
@@ -235,3 +234,53 @@ def test_incomparable_witnesses_preserved_through_reduction():
                     assert any(
                         new.sim(a_new, c) for c in new.carrier()
                     ), (shape, a_old, b_old)
+
+
+def _two_chain():
+    """Element 0 of type 1 below element 1 of type 2, in unit blocks with
+    no block order; thin, because both elements are extremal."""
+    return trivial_factorization(TypedPartialOrder((T2[1], T2[2]), frozenset({(0, 1)})))
+
+
+def _middle_not_extremal():
+    """A type-1 chain 0 < 1 < 2 of unit blocks and a type-2 element 3 above
+    1.  Element 1 is not extremal and no block order puts it below 3, so
+    the pair (1, 3) is not derived: the order is not thin."""
+    tpo = TypedPartialOrder((T2[1], T2[1], T2[1], T2[2]), transitive_closure([(0, 1), (1, 2), (1, 3)]))
+    blocks = tuple(frozenset({a}) for a in range(4))
+    return Factorization(tpo, blocks, frozenset({(0, 1), (1, 2), (0, 2)}))
+
+
+#: One fixture per block invariant, each breaking only that one.
+BROKEN_INVARIANTS = {
+    "the basic set does not hold": (
+        _two_chain,
+        (BasicFormula(BasicKind.B10, mu=T2[3].formula()),),
+    ),
+    "the factorization is not unitary": (
+        lambda: Factorization(
+            TypedPartialOrder((T2[1], T2[1]), frozenset({(0, 1)})), (frozenset({0, 1}),), frozenset()
+        ),
+        (),
+    ),
+    "the order is not thin over the factorization": (_middle_not_extremal, ()),
+    "a factor-controllable member is not controlled": (
+        _two_chain,
+        (BasicFormula(BasicKind.B3, alpha=T2[1], beta=T2[2]),),
+    ),
+}
+
+
+def test_an_intact_fixture_breaks_no_block_invariant():
+    assert block_invariant_violation(_two_chain(), ()) is None
+
+
+@pytest.mark.parametrize("broken", BROKEN_INVARIANTS)
+def test_a_broken_block_invariant_is_refused_by_both_reductions(broken):
+    make, psis = BROKEN_INVARIANTS[broken]
+    f = make()
+    assert block_invariant_violation(f, psis) == broken
+    with pytest.raises(VerificationFailure, match=f"^{broken} \\(input\\)\n--- reproduction ---\n"):
+        shrink_block_count(f, psis)
+    with pytest.raises(PreconditionError, match=f"^{broken}$"):
+        shrink_blocks(f, psis)

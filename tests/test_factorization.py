@@ -1,6 +1,8 @@
 """Factorization algebra: constructors, refinement, thinness."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -254,3 +256,29 @@ def test_is_thin_examples():
     dense = random_tpo(11, 7)
     f = trivial_factorization(dense)
     assert is_thin(f) == (derived_orders(f).lessdot == dense.order)
+
+
+def _callers_of_all(tree: ast.AST, names: set):
+    """Each function whose body (nested functions included) calls every
+    one of names, by plain or attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            called = {
+                getattr(c.func, "id", getattr(c.func, "attr", None))
+                for c in ast.walk(node)
+                if isinstance(c, ast.Call)
+            }
+            if names <= called:
+                yield node.name
+
+
+def test_only_the_shared_invariant_check_tests_thinness_and_control():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "finsat"
+    found = {
+        f"{path.name}:{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _callers_of_all(ast.parse(path.read_text()), {"is_thin", "fc_holds"})
+    }
+    assert found == {"factorization.py:block_invariant_violation"}, (
+        f"the block invariants are checked outside block_invariant_violation: {found}"
+    )

@@ -8,7 +8,8 @@ import pytest
 import finsat.verify
 from finsat import cli
 from finsat.cliques import EnumerationBudget, EnumerationBudgetError
-from finsat.logic import TRUE, DistKind, Signature, VerificationFailure
+from finsat.factorization import TypedPartialOrder
+from finsat.logic import TRUE, DistKind, Signature, VerificationFailure, enumerate_one_types
 from finsat.normal_forms import WeakNF, to_basic
 from finsat.parsing import parse_formula
 from finsat.solver import SearchBudget
@@ -126,8 +127,7 @@ def test_unary_chain_skips_a_refused_compilation():
     ] + BLOCKS_SKIPPED
 
 
-# Every element has an incomparable partner: 13 basic formulas, so the
-# minimizer's reruns stay cheap.
+# Every element has an incomparable partner: 13 basic formulas.
 INCOMPARABLE = "forall x exists y (x != y & !(x < y) & !(y < x))"
 
 
@@ -143,6 +143,33 @@ def test_block_failure_is_minimized(monkeypatch):
     assert (last.stage, last.status) == ("block stages", "fail")
     assert last.detail.startswith("sub-block check broken on purpose\nminimized:\n")
     assert last.detail.endswith("# 0 basic formulas retained\n")
+
+
+def test_block_failure_on_770_formulas_is_minimized_in_seconds(monkeypatch):
+    # Every rerun fails, so dropping halves first empties the 770-formula
+    # basic set in about ten reruns of the block stages, not one per formula.
+    monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
+    text, sig, logic, nodes, _, want = CASES["l2-1po-u"]
+    start = time.perf_counter()
+    report = pipeline_verify(parse_formula(text, sig), sig, logic, SearchBudget(max_size=4, node_limit=nodes))
+    assert time.perf_counter() - start < 10
+    assert rows(report)[:4] == want[:4]
+    last = report.stages[-1]
+    assert (last.stage, last.status) == ("block stages", "fail")
+    assert last.detail.endswith("# 0 basic formulas retained\n")
+
+
+def test_minimizer_keeps_exactly_the_formulas_a_failure_needs(monkeypatch):
+    # The last chunk size is 1, so the result is 1-minimal: no formula of
+    # it can go on its own.
+    def block_stages(tpo, psis):
+        if {17, 63} <= set(psis):
+            raise VerificationFailure("needs formulas 17 and 63")
+        return ()
+
+    monkeypatch.setattr(finsat.verify, "block_stages", block_stages)
+    tpo = TypedPartialOrder(enumerate_one_types(PO0) * 2, frozenset())
+    assert finsat.verify.minimize_basic_failure(tpo, tuple(range(100))) == (tpo, (17, 63))
 
 
 def test_verify_pipeline_exits_70_on_a_block_failure(monkeypatch, tmp_path, capsys):
