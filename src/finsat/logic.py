@@ -248,22 +248,34 @@ def t_rel(kind: str, u: str = "x", v: str = "y") -> Formula:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for s in f.subs:
-            out |= free_vars(s)
-        return out
-    if isinstance(f, Implies):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise LogicError(f"bad formula node {f!r}")
+    out: set[str] = set()
+    bound: set[str] = set()
+    # A quantifier that binds a fresh variable leaves the variable's name
+    # under its body on the stack, to unbind it once the body is walked.
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Atom or t is Eq:
+            for a in g.args if t is Atom else (g.left, g.right):
+                if a not in bound:
+                    out.add(a)
+        elif t is Not:
+            stack.append(g.sub)
+        elif t is And or t is Or:
+            stack.extend(g.subs)
+        elif t is str:
+            bound.discard(g)
+        elif t is Forall or t is Exists:
+            if g.var not in bound:
+                bound.add(g.var)
+                stack.append(g.var)
+            stack.append(g.body)
+        elif t is Implies:
+            stack += (g.right, g.left)
+        else:
+            raise LogicError(f"bad formula node {g!r}")
+    return frozenset(out)
 
 
 def rewrite(f: Formula, fn: Callable[[Formula], Optional[Formula]]) -> Formula:
@@ -532,15 +544,46 @@ def check_distinguished(s: Structure) -> list[str]:
 
 def order_violations(rel: frozenset[Pair], strict: bool) -> list[str]:
     """Every failure of transitivity in rel, and of irreflexivity when
-    strict.  Empty list iff rel is transitive (a strict partial order)."""
+    strict.  Empty list iff rel is transitive (a strict partial order).
+    Failures come in rel's iteration order of (a,b), then of (b,c)."""
     out = []
     if strict:
         out.extend(f"irreflexivity violated at {a}" for a in sorted(a for a, b in rel if a == b))
+    succ: dict[int, list[int]] = {}
     for a, b in rel:
-        for b2, c in rel:
-            if b2 == b and (a, c) not in rel:
+        succ.setdefault(a, []).append(b)
+    for a, b in rel:
+        for c in succ.get(b, ()):
+            if (a, c) not in rel:
                 out.append(f"transitivity violated: ({a},{b}),({b},{c}) without ({a},{c})")
     return out
+
+
+class _Extensions(dict):
+    """Predicate name -> (read as unary, extension) over one structure,
+    filled on the first atom of each name.  An atom is read by its
+    predicate's kind in the signature: unary at its first argument, any
+    other at the pair of its arguments.  A name outside the signature
+    raises only when an atom reaches it."""
+
+    def __init__(self, s: Structure) -> None:
+        self.s = s
+
+    def __missing__(self, name: str) -> tuple[bool, frozenset]:
+        s, sig = self.s, self.s.sig
+        if name in sig.unary:
+            ext = (True, s.unary_of(name))
+        elif name in sig.binary:
+            ext = (False, s.binary_of(name))
+        elif name == sig.dist_name:
+            ext = (False, s.dist)
+        elif name == "~" and sig.dist is DistKind.PARTIAL_ORDER:
+            pairs = itertools.permutations(s.domain(), 2)
+            ext = (False, frozenset(p for p in pairs if p not in s.dist and p[::-1] not in s.dist))
+        else:
+            raise SignatureMismatchError(f"predicate {name!r} not in signature")
+        self[name] = ext
+        return ext
 
 
 def evaluate(
@@ -548,64 +591,60 @@ def evaluate(
 ) -> bool:
     """Tarski truth of f in s under a (partial) variable assignment."""
     env = dict(assignment) if assignment else {}
-    missing = free_vars(f) - set(env)
+    missing = free_vars(f) - env.keys()
     if missing:
         raise PreconditionError(f"unassigned free variables {sorted(missing)}")
-    return _eval(s, f, env)
+    return _tarski(s, env)(f)
 
 
-def _eval(s: Structure, f: Formula, env: dict[str, int]) -> bool:
-    if isinstance(f, Atom):
-        args = tuple(env[a] for a in f.args)
-        name = f.pred
-        if name in s.sig.unary:
-            return args[0] in s.unary_of(name)
-        if name in s.sig.binary:
-            return args in s.binary_of(name)
-        if name == "<" and s.sig.dist is DistKind.PARTIAL_ORDER:
-            return args in s.dist
-        if name == "~" and s.sig.dist is DistKind.PARTIAL_ORDER:
-            a, b = args
-            return a != b and (a, b) not in s.dist and (b, a) not in s.dist
-        if name == "t" and s.sig.dist is DistKind.TRANSITIVE:
-            return args in s.dist
-        raise SignatureMismatchError(f"predicate {name!r} not in signature")
-    if isinstance(f, Eq):
-        return env[f.left] == env[f.right]
-    if isinstance(f, Not):
-        return not _eval(s, f.sub, env)
-    if isinstance(f, And):
-        return all(_eval(s, g, env) for g in f.subs)
-    if isinstance(f, Or):
-        return any(_eval(s, g, env) for g in f.subs)
-    if isinstance(f, Implies):
-        return (not _eval(s, f.left, env)) or _eval(s, f.right, env)
-    if isinstance(f, Forall):
-        saved = env.get(f.var)
-        for a in s.domain():
-            env[f.var] = a
-            if not _eval(s, f.body, env):
-                _restore(env, f.var, saved)
-                return False
-        _restore(env, f.var, saved)
-        return True
-    if isinstance(f, Exists):
-        saved = env.get(f.var)
-        for a in s.domain():
-            env[f.var] = a
-            if _eval(s, f.body, env):
-                _restore(env, f.var, saved)
-                return True
-        _restore(env, f.var, saved)
-        return False
-    raise LogicError(f"bad formula node {f!r}")
+def _tarski(s: Structure, env: dict[str, int]) -> Callable[[Formula], bool]:
+    """The short-circuit truth walk over s, reading and binding variables
+    in env.  Callers check that env assigns every free variable of the
+    formulas they pass; evaluate does so on each call."""
+    table = _Extensions(s)
+    dom = s.domain()
 
+    def holds(f: Formula) -> bool:
+        t = type(f)
+        if t is Atom:
+            unary, ext = table[f.pred]
+            args = f.args
+            if unary:
+                return env[args[0]] in ext
+            return len(args) == 2 and (env[args[0]], env[args[1]]) in ext
+        if t is Not:
+            return not holds(f.sub)
+        if t is And:
+            for g in f.subs:
+                if not holds(g):
+                    return False
+            return True
+        if t is Or:
+            for g in f.subs:
+                if holds(g):
+                    return True
+            return False
+        if t is Eq:
+            return env[f.left] == env[f.right]
+        if t is Forall or t is Exists:
+            var, body, want = f.var, f.body, t is Exists
+            saved = env.get(var)
+            result = not want
+            for a in dom:
+                env[var] = a
+                if holds(body) is want:
+                    result = want
+                    break
+            if saved is None:
+                del env[var]
+            else:
+                env[var] = saved
+            return result
+        if t is Implies:
+            return not holds(f.left) or holds(f.right)
+        raise LogicError(f"bad formula node {f!r}")
 
-def _restore(env: dict[str, int], var: str, saved: Optional[int]) -> None:
-    if saved is None:
-        env.pop(var, None)
-    else:
-        env[var] = saved
+    return holds
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .logic import (
     Signature,
     Structure,
     TRUE,
-    _eval,
+    _tarski,
     atom,
     conj,
     disj,
@@ -163,7 +163,7 @@ class StandardNF:
         """Truth of the sentence in s.  Construction has checked that the
         matrices mention only x and y, so the sentence is closed and
         evaluate's free-variable walk is skipped."""
-        return _eval(s, self.to_formula(), {})
+        return _tarski(s, {})(self.to_formula())
 
     def to_weak(self) -> "WeakNF":
         return WeakNF((), self.eta, self.thetas)

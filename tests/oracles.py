@@ -80,6 +80,37 @@ def naive_eval(s: Structure, f, env=None) -> bool:
     return rec(f)
 
 
+def naive_free_vars(f) -> frozenset[str]:
+    """Free variables by plain recursion over the definition."""
+    if isinstance(f, Atom):
+        return frozenset(f.args)
+    if isinstance(f, Eq):
+        return frozenset((f.left, f.right))
+    if isinstance(f, Not):
+        return naive_free_vars(f.sub)
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*map(naive_free_vars, f.subs))
+    if isinstance(f, Implies):
+        return naive_free_vars(f.left) | naive_free_vars(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return naive_free_vars(f.body) - {f.var}
+    raise TypeError(f)
+
+
+def quadratic_order_violations(rel, strict: bool) -> list[str]:
+    """Transitivity (and, when strict, irreflexivity) failures of rel by
+    the all-pairs scan: irreflexivity in element order, then each (a,b),
+    (b,c) in rel's iteration order."""
+    out = []
+    if strict:
+        out.extend(f"irreflexivity violated at {a}" for a in sorted(a for a, b in rel if a == b))
+    for a, b in rel:
+        for b2, c in rel:
+            if b2 == b and (a, c) not in rel:
+                out.append(f"transitivity violated: ({a},{b}),({b},{c}) without ({a},{c})")
+    return out
+
+
 def scc_partition(s: Structure) -> set[frozenset[int]]:
     """Strongly connected components of the distinguished relation via
     networkx, as the clique oracle."""

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -27,6 +28,8 @@ from finsat.logic import (
     free_vars,
     is_quantifier_free,
     one_type_of,
+    order_violations,
+    subformulas,
     substitute,
     swap_xy,
     two_type_of,
@@ -36,7 +39,7 @@ from finsat.parsing import parse_formula
 from finsat.solver import random_formula, random_structure
 
 from fixtures import rewrite_cases
-from oracles import naive_eval
+from oracles import brute_closure, naive_eval, naive_free_vars, quadratic_order_violations
 
 PO = Signature(("p",), (), DistKind.PARTIAL_ORDER)
 TR = Signature(("p",), (), DistKind.TRANSITIVE)
@@ -59,13 +62,31 @@ def test_witness_pair():
 
 def test_unknown_predicate_rejected():
     s = two_elem()
+    zz = Atom("zz", ("x",))
     with pytest.raises(SignatureMismatchError):
-        evaluate(s, Atom("zz", ("x",)), {"x": 0})
+        evaluate(s, zz, {"x": 0})
+    # Only an atom the walk reaches is looked up.
+    assert evaluate(s, Forall("x", Or((Eq("x", "x"), zz))))
+    assert not evaluate(s, Exists("x", And((Not(Eq("x", "x")), zz))))
+    for f in (Exists("x", zz), Forall("x", Or((Not(Eq("x", "x")), zz)))):
+        with pytest.raises(SignatureMismatchError):
+            evaluate(s, f)
+    xy = {"x": 0, "y": 1}
+    with pytest.raises(SignatureMismatchError):
+        evaluate(s, Atom("t", ("x", "y")), xy)
+    for pred in ("<", "~"):
+        with pytest.raises(SignatureMismatchError):
+            evaluate(Structure(TR, 2), Atom(pred, ("x", "y")), xy)
 
 
 def test_unassigned_free_variable_rejected():
     with pytest.raises(PreconditionError):
         evaluate(two_elem(), Atom("p", ("x",)))
+    sig = Signature((), ("r",))
+    f = Exists("y", Atom("r", ("x", "y")))
+    with pytest.raises(PreconditionError):
+        evaluate(Structure(sig, 2), f, {"y": 0})
+    assert not evaluate(Structure(sig, 2), f, {"x": 0})
 
 
 def test_one_type_of_polarity():
@@ -106,6 +127,24 @@ def test_check_distinguished_reports():
     assert check_distinguished(ok) == []
     bad = Structure(PO, 1, {}, {}, frozenset({(0, 0)}))
     assert any("irreflexivity" in v for v in check_distinguished(bad))
+
+
+def test_order_violations_match_the_quadratic_scan():
+    rng = random.Random(0)
+    kinds = {"transitive": 0, "violated": 0, "reflexive": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rel = frozenset(
+            (a, b) for a in range(n) for b in range(n) if rng.random() < rng.choice((0.2, 0.5))
+        )
+        for r in (rel, brute_closure(rel)):
+            kinds["reflexive"] += any(a == b for a, b in r)
+            for strict in (True, False):
+                got = order_violations(r, strict)
+                assert got == quadratic_order_violations(r, strict), (sorted(r), strict)
+                if not strict:
+                    kinds["violated" if got else "transitive"] += 1
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_two_type_restriction_matches_one_type():
@@ -154,6 +193,53 @@ def test_evaluate_agrees_with_naive_oracle():
         assert evaluate(s, f) == naive_eval(s, f)
 
 
+def test_evaluate_under_partial_assignments_agrees_with_naive_oracle():
+    sig = Signature(("p", "q"), ("r",), DistKind.PARTIAL_ORDER)
+    tsig = Signature(("p", "q"), ("r",), DistKind.TRANSITIVE)
+    rng = random.Random(1)
+    seen = {0: 0, 1: 0, 2: 0}
+    for seed in range(60):
+        use = sig if seed % 2 else tsig
+        s = random_structure(seed, use, 2 + seed % 4)
+        for g in subformulas(random_formula(seed, use, depth=4)):
+            free = free_vars(g)
+            assert free == naive_free_vars(g)
+            env = {v: rng.randrange(s.size) for v in free}
+            seen[len(env)] += 1
+            assert evaluate(s, g, env) == naive_eval(s, g, env)
+            both = {**env, "x": 0, "y": s.size - 1}
+            assert evaluate(s, g, both) == naive_eval(s, g, both)
+    assert min(seen.values()) > 50, seen
+
+
+def test_free_vars_under_shadowing():
+    px, qy = Atom("p", ("x",)), Atom("q", ("y",))
+    inner = Exists("x", And((px, Forall("x", px))))
+    assert free_vars(And((inner, qy))) == {"y"}
+    assert free_vars(Forall("y", And((inner, px, qy)))) == {"x"}
+    assert free_vars(Or((Forall("x", Eq("x", "y")), Not(Eq("x", "x"))))) == {"x", "y"}
+
+
+def test_evaluate_reads_the_distinguished_relation():
+    po = Structure(PO, 3, {}, {}, frozenset({(0, 1), (0, 2)}))
+    lt, sim = Atom("<", ("x", "y")), Atom("~", ("x", "y"))
+    truth = {
+        (a, b): (evaluate(po, lt, {"x": a, "y": b}), evaluate(po, sim, {"x": a, "y": b}))
+        for a in range(3) for b in range(3)
+    }
+    assert truth == {
+        (0, 0): (False, False), (0, 1): (True, False), (0, 2): (True, False),
+        (1, 0): (False, False), (1, 1): (False, False), (1, 2): (False, True),
+        (2, 0): (False, False), (2, 1): (False, True), (2, 2): (False, False),
+    }
+    tr = Structure(TR, 2, {}, {}, frozenset({(0, 0), (0, 1)}))
+    t = Atom("t", ("x", "y"))
+    assert [evaluate(tr, t, {"x": a, "y": b}) for a in range(2) for b in range(2)] == [
+        True, True, False, False
+    ]
+    assert [evaluate(tr, Atom("t", ("x", "x")), {"x": a}) for a in range(2)] == [True, False]
+
+
 def test_swap_xy_is_an_involution_that_swaps_the_assignment():
     for s, formulas in rewrite_cases():
         for f in formulas:
@@ -194,7 +280,7 @@ def test_eval_unary_on_type_errors():
         eval_unary_on_type(Atom("zz", ("x",)), tp)
 
 
-#: The functions that may branch on isinstance(_, Not): the formula
+#: The functions that may test for a Not node (see _tests_for_not): the formula
 #: rewriter and iterator, and the walkers that are hot or need their own
 #: shape (polarity, sharing, printing).  Any other formula walk goes
 #: through logic.rewrite or logic.subformulas.
@@ -207,29 +293,47 @@ NOT_BRANCHES = {
     "subformulas",
     "_check_matrix",
     "_collect_usage",
-    "_eval",
     "_find_single_positive_exists",
     "_fold",
     "_innermost_quantified",
     "_plan",
     "_print",
+    "_tarski.holds",
 }
 
 
+def _tests_for_not(node: ast.AST) -> bool:
+    """isinstance(_, Not), or an is/== comparison against Not, as in
+    type(_) is Not, type(_) == Not or t is Not."""
+    if isinstance(node, ast.Call):
+        return (
+            getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(n, "id", None) == "Not" for n in ast.walk(node.args[1]))
+        )
+    return (
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.Eq)) for op in node.ops)
+        and any(getattr(n, "id", None) == "Not" for n in (node.left, *node.comparators))
+    )
+
+
 def _not_branches(tree: ast.AST, scope: str = ""):
-    """The qualified name of each function holding an isinstance(_, Not)."""
+    """The qualified name of each function that tests for a Not node."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield from _not_branches(node, f"{scope}.{node.name}".lstrip("."))
             continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and getattr(sub.func, "id", None) == "isinstance"
-                and len(sub.args) == 2
-                and any(getattr(n, "id", None) == "Not" for n in ast.walk(sub.args[1]))
-            ):
-                yield scope
+        if any(_tests_for_not(sub) for sub in ast.walk(node)):
+            yield scope
+
+
+def test_not_branch_lint_sees_type_dispatch():
+    for src in ("isinstance(f, Not)", "isinstance(f, (And, Not))", "type(f) is Not",
+                "type(f) == Not", "t is Not", "Not is t"):
+        tree = ast.parse(f"def walk(f):\n    return {src}\n")
+        assert list(_not_branches(tree)) == ["walk"], src
+    assert list(_not_branches(ast.parse("def walk(f):\n    return type(f) is And\n"))) == []
 
 
 def test_only_listed_functions_branch_on_negation():
@@ -239,4 +343,4 @@ def test_only_listed_functions_branch_on_negation():
         for name in _not_branches(ast.parse(path.read_text())):
             found.setdefault(name, path.name)
     unlisted = {name: where for name, where in found.items() if name not in NOT_BRANCHES}
-    assert not unlisted, f"new isinstance(_, Not) ladders: {unlisted}; use logic.rewrite or logic.subformulas"
+    assert not unlisted, f"new Not-testing ladders: {unlisted}; use logic.rewrite or logic.subformulas"
