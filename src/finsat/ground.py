@@ -13,8 +13,8 @@ asserted matrix still splits into clauses.  An instance maps the atoms to
 variables and re-hashes the gates; a pattern under which the matrix is
 constant costs nothing and creates no variables.  Every gate is an "and" of
 literals (an "or" is the negated "and" of the negated literals), keyed by
-its sorted literal set, so one distinct gate gets one variable per
-find_model call, wherever it occurs.  Gate definitions are two-sided.
+its sorted literal set, so one distinct gate gets one variable per size
+searched, wherever it occurs.  Gate definitions are two-sided.
 
 cdcl.py follows Chaff (Moskewicz et al., DAC 2001) and MiniSat (Een and
 Sorensson, SAT 2003).  Unit propagation watches two literals of each long
@@ -227,8 +227,9 @@ def _relabel(node, lit: list[int]):
 
 
 class GroundEngine:
-    """find_model's engine for every signature past the typed engine's
-    limits.  One engine serves one find_model call."""
+    """The engine for every signature past the typed engine's limits.
+    One engine serves every size searched: the plan and its compiled
+    templates are kept, and each run grounds its size afresh."""
 
     def __init__(self, phi: Formula, sig: Signature) -> None:
         self.phi = phi

@@ -1,6 +1,7 @@
 """Bounded finite-model finding and the decision front end.
 
-Two exhaustive engines sit behind find_model.  The typed engine assigns
+Two exhaustive engines sit behind find_model, and _engine picks one per
+formula; one engine then serves every size searched.  The typed engine assigns
 1-types to elements (in nondecreasing order, which breaks the full element
 permutation symmetry while staying exhaustive up to isomorphism) and then
 2-types to pairs, propagating the distinguished relation's constraints and
@@ -14,7 +15,7 @@ with evaluate before it is returned.  smallest_model tries sizes
 2..max_size in order.
 
 The grounded engine is in ground.py.  SearchBudget.node_limit bounds the
-typed engine's nodes and the solver's decisions, per find_model call.
+typed engine's nodes and the solver's decisions, per size searched.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .logic import (
     Implies,
     LogicError,
     NavKind,
-    Not,
     OneType,
     Or,
     Pair,
@@ -57,6 +57,7 @@ from .logic import (
     rewrite,
     simplify,
     substitute,
+    subformulas,
 )
 from .factorization import transitive_closure
 from .ground import GroundEngine
@@ -70,9 +71,9 @@ from .normal_forms import (
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Largest domain size to try, and the most nodes one find_model call
-    may take: typed-engine nodes, or decisions of the grounded engine's
-    solver (propagations and conflicts are not counted)."""
+    """Largest domain size to try, and the most nodes the search of one
+    size may take: typed-engine nodes, or decisions of the grounded
+    engine's solver (propagations and conflicts are not counted)."""
 
     max_size: int = 6
     node_limit: int = 5_000_000
@@ -253,8 +254,11 @@ class _Usage:
     t_cross: bool = False
 
 
-def _collect_usage(f: Formula, sig: Signature, use: _Usage) -> None:
-    if isinstance(f, Atom):
+def _collect_usage(phi: Formula, sig: Signature) -> _Usage:
+    use = _Usage()
+    for f in subformulas(phi):
+        if not isinstance(f, Atom):
+            continue
         if f.pred in sig.unary:
             use.unary.add(f.pred)
         elif f.pred in sig.binary:
@@ -269,21 +273,7 @@ def _collect_usage(f: Formula, sig: Signature, use: _Usage) -> None:
                 use.t_diag = True
             else:
                 use.t_cross = True
-        return
-    if isinstance(f, Eq):
-        return
-    if isinstance(f, Not):
-        _collect_usage(f.sub, sig, use)
-    elif isinstance(f, (And, Or)):
-        for s in f.subs:
-            _collect_usage(s, sig, use)
-    elif isinstance(f, Implies):
-        _collect_usage(f.left, sig, use)
-        _collect_usage(f.right, sig, use)
-    elif isinstance(f, (Forall, Exists)):
-        _collect_usage(f.body, sig, use)
-    else:
-        raise LogicError(f"bad formula node {f!r}")
+    return use
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +282,13 @@ def _collect_usage(f: Formula, sig: Signature, use: _Usage) -> None:
 
 
 class _TypedEngine:
-    def __init__(self, phi: Formula, sig: Signature, budget: SearchBudget) -> None:
+    """The typed engine for phi; its 1-type and pair tables do not depend
+    on the domain size, so one engine serves every size searched."""
+
+    def __init__(self, phi: Formula, sig: Signature, use: _Usage, shape: _Shape) -> None:
         self.phi = phi
         self.sig = sig
-        self.budget = budget
-        self.nodes = 0
-        self.shape = _decompose(phi)
-        use = _Usage()
-        _collect_usage(phi, sig, use)
+        self.shape = shape
         self.usage = use
         keys = sig.one_type_keys()
         choices = []
@@ -309,7 +298,9 @@ class _TypedEngine:
             elif key[0] == "b":
                 choices.append((False, True) if key[1] in use.diag else (False,))
             else:
-                choices.append((False, True) if use.t_diag else (False,))
+                # A mutual t pair needs loops at both ends, so a cross atom
+                # reads the loop bit too.
+                choices.append((False, True) if use.t_diag or use.t_cross else (False,))
         u1 = self.shape.universal1
         self.types: list[OneType] = []
         for bits in itertools.product(*choices):
@@ -355,7 +346,7 @@ class _TypedEngine:
 
         Every alternative of the active cross and navigation bits is
         enumerated and kept if the universal part holds in both
-        orientations; find_model sends signatures with more alternatives
+        orientations; _engine sends signatures with more alternatives
         than this can afford to the grounded engine."""
         hit = self._pair_cache.get((ti, tj))
         if hit is not None:
@@ -409,9 +400,11 @@ class _TypedEngine:
             self._suffix[ti] = arr
         return arr[lo]
 
-    def run(self, n: int) -> Optional[Structure]:
+    def run(self, n: int, node_limit: int) -> Optional[Structure]:
         if not self.types:
             return None
+        self.node_limit = node_limit
+        self.nodes = 0
         self.n = n
         self.codes: list[int] = []
         self.taus: dict[Pair, TwoType] = {}
@@ -422,8 +415,8 @@ class _TypedEngine:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            raise BudgetExceeded(f"typed search exceeded {self.budget.node_limit} nodes")
+        if self.nodes > self.node_limit:
+            raise BudgetExceeded(f"typed search exceeded {self.node_limit} nodes")
 
     def _place(self, i: int) -> Optional[Structure]:
         if i == self.n:
@@ -570,20 +563,36 @@ _TYPED_ALT_LIMIT = 256
 _TYPED_WITNESS_LIMIT = 64
 
 
-def _typed_scale(phi: Formula, sig: Signature) -> tuple[int, int]:
-    """Candidate 1-type count and pair-alternative count for the typed
-    engine, from the atoms actually used."""
-    use = _Usage()
-    _collect_usage(phi, sig, use)
-    bits = len(use.unary) + len(use.diag)
-    if sig.dist is DistKind.TRANSITIVE and use.t_diag:
-        bits += 1
-    alts = 4 ** len(use.cross)
-    if (sig.dist is DistKind.PARTIAL_ORDER and use.nav) or (
-        sig.dist is DistKind.TRANSITIVE and use.t_cross
-    ):
-        alts *= 4
-    return 2**bits, alts
+def _engine(phi: Formula, sig: Signature, engine: str = "auto"):
+    """The engine that searches phi at every size, by run(n, node_limit).
+
+    With engine="auto", the typed engine takes a formula whose candidate
+    1-types, pair alternatives and witness conjuncts, counted from the
+    atoms actually used, are all within its limits, and which writes no
+    t cross atom without a t(u,u) atom (the cross atom alone frees the loop
+    bit, doubling the 1-types); every other formula goes to the grounded
+    engine."""
+    if engine == "ground":
+        return GroundEngine(phi, sig)
+    if engine not in ("auto", "typed"):
+        raise LogicError(f"unknown engine {engine!r}")
+    use = _collect_usage(phi, sig)
+    if engine == "auto":
+        transitive = sig.dist is DistKind.TRANSITIVE
+        bits = len(use.unary) + len(use.diag) + (transitive and use.t_diag)
+        alts = 4 ** len(use.cross)
+        if (sig.dist is DistKind.PARTIAL_ORDER and use.nav) or (transitive and use.t_cross):
+            alts *= 4
+        if (
+            2**bits > _TYPED_TYPE_LIMIT
+            or alts > _TYPED_ALT_LIMIT
+            or (transitive and use.t_cross and not use.t_diag)
+        ):
+            return GroundEngine(phi, sig)
+    shape = _decompose(phi)
+    if engine == "auto" and len(shape.thetas) > _TYPED_WITNESS_LIMIT:
+        return GroundEngine(phi, sig)
+    return _TypedEngine(phi, sig, use, shape)
 
 
 def find_model(
@@ -596,26 +605,12 @@ def find_model(
     """A model of exactly the given size, or None after exhaustive search.
 
     Exhaustive up to isomorphism at each size; any model returned has been
-    verified with evaluate.  With engine="auto", the typed engine takes a
-    formula whose candidate 1-types, pair alternatives and witness
-    conjuncts are all within its limits; every other formula goes to the
-    grounded engine.
+    verified with evaluate.  engine is "auto", "typed" or "ground"; see
+    _engine for how "auto" chooses.
     """
     if size < 2:
         raise PreconditionError("model search starts at the 2-element convention")
-    budget = budget or SearchBudget()
-    if engine == "auto":
-        n_types, n_alts = _typed_scale(phi, sig)
-        if n_types <= _TYPED_TYPE_LIMIT and n_alts <= _TYPED_ALT_LIMIT:
-            typed = _TypedEngine(phi, sig, budget)
-            if len(typed.shape.thetas) <= _TYPED_WITNESS_LIMIT:
-                return typed.run(size)
-        return GroundEngine(phi, sig).run(size, budget.node_limit)
-    if engine == "typed":
-        return _TypedEngine(phi, sig, budget).run(size)
-    if engine == "ground":
-        return GroundEngine(phi, sig).run(size, budget.node_limit)
-    raise LogicError(f"unknown engine {engine!r}")
+    return _engine(phi, sig, engine).run(size, (budget or SearchBudget()).node_limit)
 
 
 def smallest_model(
@@ -623,10 +618,12 @@ def smallest_model(
 ) -> Optional[Structure]:
     """A model of the smallest size in 2..budget.max_size, or None.
 
-    One find_model call per size, in increasing order; BudgetExceeded from
-    any size propagates."""
+    One engine searches every size, in increasing order, with
+    budget.node_limit per size searched; BudgetExceeded from any size
+    propagates."""
+    search = _engine(phi, sig)
     for k in range(2, budget.max_size + 1):
-        m = find_model(phi, sig, k, budget)
+        m = search.run(k, budget.node_limit)
         if m is not None:
             return m
     return None
@@ -655,18 +652,19 @@ def decide(
     """
     budget = budget or SearchBudget()
     _check_logic(sig, logic)
-    top = simplify(_subst_t_top(phi)) if logic == "l2-1t" else None
     plain = Signature(sig.unary, sig.binary, DistKind.NONE)
+    clique = _engine(simplify(_subst_t_top(phi)), plain) if logic == "l2-1t" else None
+    general = _engine(phi, sig)
     try:
         for k in range(2, budget.max_size + 1):
-            m = None if top is None else find_model(top, plain, k, budget)
+            m = None if clique is None else clique.run(k, budget.node_limit)
             if m is not None:
                 total = frozenset(itertools.product(m.domain(), repeat=2))
                 m = Structure(sig, m.size, m.unary, m.binary, total)
                 if not evaluate(m, phi):
                     raise VerificationFailure("single-clique lift failed verification")
             else:
-                m = find_model(phi, sig, k, budget)
+                m = general.run(k, budget.node_limit)
             if m is not None:
                 return DecisionOutcome.sat(m)
         return DecisionOutcome.no_model_up_to(budget.max_size)

@@ -292,7 +292,6 @@ NOT_BRANCHES = {
     "simplify",
     "subformulas",
     "_check_matrix",
-    "_collect_usage",
     "_find_single_positive_exists",
     "_fold",
     "_innermost_quantified",

@@ -94,10 +94,8 @@ def test_nested_quantification_uses_fresh_definitions():
     snf, sig2 = to_standard_nf(phi, L2)
     assert len(sig2.unary) > len(L2.unary)
     for k in (2, 3):
-        lhs = sat_at(phi, L2, k)
-        rhs = sat_at(snf.to_formula(), sig2, k)
-        assert lhs == rhs
         m = find_model(snf.to_formula(), sig2, k)
+        assert sat_at(phi, L2, k) == (m is not None)
         if m is not None:
             assert evaluate(m, phi)
 
@@ -108,11 +106,9 @@ def test_standard_nf_equisatisfiable_on_random_formulas():
         phi = random_formula(seed, L2, depth=3)
         snf, sig2 = to_standard_nf(phi, L2)
         for k in (2, 3):
-            lhs = sat_at(phi, L2, k)
-            rhs = sat_at(snf.to_formula(), sig2, k)
-            assert lhs == rhs, f"seed {seed} size {k}"
-            checked += 1
             m = find_model(snf.to_formula(), sig2, k)
+            assert sat_at(phi, L2, k) == (m is not None), f"seed {seed} size {k}"
+            checked += 1
             if m is not None:
                 assert evaluate(m, phi) and snf.holds(m)
             s = random_structure(seed, sig2, k)
@@ -259,8 +255,8 @@ def test_transitive_nf_equisatisfiable_random():
         phi = random_formula(seed, tsig, depth=2)
         tnf, sig2 = to_transitive_nf(phi, tsig)
         for k in (2, 3):
-            assert sat_at(phi, tsig, k) == sat_at(tnf.to_formula(), sig2, k), seed
             m = find_model(tnf.to_formula(), sig2, k)
+            assert sat_at(phi, tsig, k) == (m is not None), seed
             if m is not None:
                 assert evaluate(m, phi)
 

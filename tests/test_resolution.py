@@ -34,7 +34,7 @@ from finsat.resolution import (
     transpose,
     type_literals,
 )
-from finsat.solver import find_model, random_structure
+from finsat.solver import SearchBudget, random_structure, smallest_model
 
 from fixtures import REWRITE_SIGS
 from oracles import naive_eval
@@ -244,6 +244,9 @@ def test_duplicate_preserves_two_type_census():
         assert base_types == big_types
 
 
+UP_TO_5 = SearchBudget(max_size=5)
+
+
 def snf_fixture(seed):
     """Small satisfiable standard-normal-form fixtures over SIG."""
     texts = [
@@ -260,11 +263,7 @@ def snf_fixture(seed):
 def test_to_spread_satisfied_by_witness_model():
     for seed in range(4):
         snf = snf_fixture(seed)
-        model = None
-        for k in range(2, 6):
-            model = find_model(snf.to_formula(), SIG, k)
-            if model:
-                break
+        model = smallest_model(snf.to_formula(), SIG, UP_TO_5)
         if model is None:
             continue
         res = to_spread(snf, model)
@@ -276,9 +275,7 @@ def test_to_spread_satisfied_by_witness_model():
 
 def test_spread_witnesses_never_reciprocal():
     snf = snf_fixture(0)
-    model = next(
-        m for k in range(2, 6) if (m := find_model(snf.to_formula(), SIG, k))
-    )
+    model = smallest_model(snf.to_formula(), SIG, UP_TO_5)
     res = to_spread(snf, model)
     spread, big = res.spread, res.model
     witness_of: dict[int, set[int]] = {}
@@ -323,11 +320,7 @@ def hatify(spread, elim, model):
 def test_eliminate_binaries_same_domains():
     for seed in range(4):
         snf = snf_fixture(seed)
-        model = None
-        for k in range(2, 6):
-            model = find_model(snf.to_formula(), SIG, k)
-            if model:
-                break
+        model = smallest_model(snf.to_formula(), SIG, UP_TO_5)
         if model is None:
             continue
         res = to_spread(snf, model)
@@ -337,11 +330,7 @@ def test_eliminate_binaries_same_domains():
         lifted = hatify(res.spread, elim, res.model)
         assert evaluate(lifted, elim.weak.to_formula())
         # backward: a found model reconstructs on the same domain
-        m2 = None
-        for k in range(2, 4):
-            m2 = find_model(elim.weak.to_formula(), elim.sig_prime, k)
-            if m2:
-                break
+        m2 = smallest_model(elim.weak.to_formula(), elim.sig_prime, SearchBudget(max_size=3))
         if m2 is not None:
             rebuilt = reconstruct_model(res.spread, elim, m2)
             assert rebuilt.size == m2.size
@@ -350,9 +339,7 @@ def test_eliminate_binaries_same_domains():
 
 def test_reconstruct_rejects_non_models():
     snf = snf_fixture(0)
-    model = next(
-        m for k in range(2, 6) if (m := find_model(snf.to_formula(), SIG, k))
-    )
+    model = smallest_model(snf.to_formula(), SIG, UP_TO_5)
     res = to_spread(snf, model)
     elim = eliminate_binaries(res.spread)
     bogus = Structure(

@@ -19,6 +19,7 @@ from finsat.solver import (
     random_formula,
     random_structure,
     smallest_model,
+    _engine,
     _subst_t_top,
 )
 
@@ -68,6 +69,20 @@ def test_decide_budget_out_is_unknown():
     budget = SearchBudget(max_size=4, node_limit=10)
     out = decide(parse_formula(AXIOM, T0), T0, "l2-1t", budget)
     assert out.kind == "unknown" and "10 nodes" in out.report
+
+
+def test_node_limit_applies_per_size_searched():
+    phi = parse_formula(AXIOM, T0)
+    per_size = []
+    for k in (2, 3, 4):
+        engine = _engine(phi, T0)
+        assert engine.run(k, 10**6) is None
+        per_size.append(engine.nodes)
+    limit = max(per_size)
+    assert sum(per_size) > limit
+    budget = SearchBudget(max_size=4, node_limit=limit)
+    assert smallest_model(phi, T0, budget) is None
+    assert decide(phi, T0, "l2-1t", budget).kind == "no_model_up_to"
 
 
 def test_smallest_model_returns_the_smallest_size():
@@ -155,6 +170,38 @@ def test_ground_agrees_with_brute_force_on_mutual_pairs(text, sat):
         assert any(evaluate(s, phi) for s in all_structures(T0, k)) == want
         assert (m is not None) == want
         assert m is None or (m.size == k and evaluate(m, phi))
+
+
+@pytest.mark.parametrize("text, sat", LOOP_CASES)
+def test_typed_engine_auto_and_decide_find_mutual_pairs(text, sat):
+    phi = parse_formula(text, T0)
+    # A t cross atom without a t(u,u) atom goes to the grounded engine.
+    assert isinstance(_engine(phi, T0), GroundEngine)
+    for engine in ("auto", "typed"):
+        for k, want in sat.items():
+            m = find_model(phi, T0, k, engine=engine)
+            assert (m is not None) == want, (engine, k)
+            assert m is None or (m.size == k and evaluate(m, phi))
+    out = decide(phi, T0, "l2-1t", SearchBudget(max_size=3))
+    assert out.kind == "sat" and out.size == min(k for k, want in sat.items() if want)
+    assert evaluate(out.model, phi)
+
+
+def test_a_reused_engine_carries_no_state_between_sizes():
+    cases = [(random_formula(seed, sig, depth=3), sig) for sig in DIFF_SIGS.values() for seed in range(20)]
+    cases += [(parse_formula(text, T0), T0) for text, _ in LOOP_CASES]
+    found = 0
+    for phi, sig in cases:
+        m = smallest_model(phi, sig, SearchBudget(max_size=3))
+        assert m == next(filter(None, (find_model(phi, sig, k) for k in (2, 3))), None)
+        found += m is not None
+    assert 0 < found < len(cases)
+    # The grounded engine keeps its compiled templates from size 3 to 2.
+    phi = parse_formula("forall x (p(x) | exists y (x != y & r(x,y) & !p(y))) & exists x !p(x)", DIFF_SIGS["l2"])
+    reused = GroundEngine(phi, DIFF_SIGS["l2"])
+    assert reused.run(3, 10**6) is not None
+    again = reused.run(2, 10**6)
+    assert again is not None and again == GroundEngine(phi, DIFF_SIGS["l2"]).run(2, 10**6)
 
 
 def _atom_holds(s, key) -> bool:
