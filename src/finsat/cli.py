@@ -15,11 +15,10 @@ import traceback
 from typing import Optional
 
 from .logic import (
-    DistKind,
+    BudgetExceeded,
     EnumerationBudgetError,
     LogicError,
     Signature,
-    Structure,
     VerificationFailure,
     evaluate,
 )
@@ -41,7 +40,7 @@ from .normal_forms import (
     weak_to_standard,
 )
 from .resolution import to_spread
-from .solver import LOGIC_TAGS, SearchBudget, decide, expansion_exists, random_formula, random_structure
+from .solver import LOGIC_DIST, SearchBudget, decide, find_expansion, random_formula, random_structure
 from .verify import pipeline_verify
 
 EXIT_OK = 0
@@ -55,13 +54,7 @@ EXIT_INTERNAL = 70
 def _signature(args: argparse.Namespace) -> Signature:
     unary = tuple(n for n in (args.unary or "").split(",") if n)
     binary = tuple(n for n in (args.binary or "").split(",") if n)
-    dist = {
-        "l2": DistKind.NONE,
-        "l2-1po-u": DistKind.PARTIAL_ORDER,
-        "l2-1po": DistKind.PARTIAL_ORDER,
-        "l2-1t": DistKind.TRANSITIVE,
-    }[args.logic]
-    return Signature(unary, binary, dist)
+    return Signature(unary, binary, LOGIC_DIST[args.logic])
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -168,13 +161,7 @@ def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
         f = parse_formula(_read(args.formula), sig)
         snf, sig1 = to_standard_nf(f, sig)
         psis, sig_star = to_basic(snf.to_weak(), sig1)
-        fresh = sig_star.unary[len(sig.unary):]
-        expanded = expansion_exists(
-            Structure(sig_star, s.size, dict(s.unary), {}, s.dist),
-            basic_set_formula(psis),
-            sig_star,
-            fresh,
-        )
+        expanded = find_expansion(s, basic_set_formula(psis), sig_star, SearchBudget())
         if expanded is None:
             print("structure does not satisfy the formula under any labelling")
             return EXIT_NO_MODEL
@@ -218,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, formula: bool = True) -> None:
-        p.add_argument("--logic", choices=LOGIC_TAGS, default="l2-1po-u")
+        p.add_argument("--logic", choices=tuple(LOGIC_DIST), default="l2-1po-u")
         p.add_argument("--unary", default="", help="comma-separated unary predicates")
         p.add_argument("--binary", default="", help="comma-separated binary predicates")
         if formula:
@@ -285,7 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except EnumerationBudgetError as e:
+    except (BudgetExceeded, EnumerationBudgetError) as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     except LogicError as e:

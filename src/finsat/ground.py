@@ -219,6 +219,15 @@ def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Tem
     return _Template(atoms, gates, lower_top(tree))
 
 
+def _holds(s: Structure, key: tuple) -> bool:
+    """The truth in s of the ground atom with this key."""
+    if key[0] == "u":
+        return key[2] in s.unary_of(key[1])
+    if key[0] == "b":
+        return key[2:] in s.binary_of(key[1])
+    return key[1:] in s.dist
+
+
 def _relabel(node, lit: list[int]):
     """A template's top node with local literals mapped through lit."""
     if isinstance(node, int):
@@ -237,15 +246,27 @@ class GroundEngine:
         plan, free = _plan(phi, True)
         self.plan = _Matrix(phi, True, free) if plan is None else plan
 
-    def run(self, n: int, node_limit: int) -> Optional[Structure]:
+    def run(self, n: int, node_limit: int, base: Optional[Structure] = None) -> Optional[Structure]:
+        """A model of size n, or None.  With base, a structure of size n
+        over fewer unary predicates, the model expands base: a unit clause
+        fixes each atom of base's predicates."""
         if not self.encode(n):
             return None
+        if base is not None:
+            self.clauses.extend(
+                [v if _holds(base, key) else -v]
+                for key, v in self.var_of.items()
+                if key[0] != "u" or key[1] in base.sig.unary
+            )
         # The solver takes the clause lists over and empties self.clauses.
         cdcl = CDCL(self.n_vars, self.clauses, self.var_of.values())
         assignment = cdcl.solve(node_limit)
         if assignment is None:
             return None
         s = self._decode(assignment)
+        if base is not None:
+            # Atoms the formula never reads decode false; base decides them.
+            s = Structure(self.sig, n, {**s.unary, **base.unary}, base.binary, base.dist)
         if not evaluate(s, self.phi):
             raise VerificationFailure("grounded engine produced a non-model; grounding is wrong")
         return s

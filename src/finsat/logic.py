@@ -658,6 +658,9 @@ class OneType:
 
     sig: Signature = field(compare=False)
     bits: tuple[bool, ...] = ()
+    # formula(var) per variable, built once so that every formula that
+    # mentions this 1-type shares one conjunction.
+    _formulas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.bits) != len(self.sig.one_type_bit):
@@ -683,7 +686,10 @@ class OneType:
         return tuple(a if bit else neg(a) for a, bit in zip(atoms, self.bits))
 
     def formula(self, var: str = "x") -> Formula:
-        return conj(self.literals(var))
+        f = self._formulas.get(var)
+        if f is None:
+            f = self._formulas[var] = conj(self.literals(var))
+        return f
 
     def label(self) -> str:
         parts = []
@@ -717,35 +723,18 @@ def enumerate_one_types(sig: Signature) -> tuple[OneType, ...]:
     )
 
 
-class NavKind(Enum):
-    """The navigational alternative of a partial-order 2-type."""
-
-    LT = "lt"
-    GT = "gt"
-    SIM = "sim"
-
-    def swapped(self) -> "NavKind":
-        if self is NavKind.LT:
-            return NavKind.GT
-        if self is NavKind.GT:
-            return NavKind.LT
-        return NavKind.SIM
+_NAV_PAIRS = tuple(itertools.product((False, True), repeat=2))
 
 
-Nav = Union[NavKind, tuple[bool, bool], None]
-
-
-def _check_nav(sig: Signature, x: OneType, y: OneType, nav: Nav) -> None:
-    if sig.dist is DistKind.PARTIAL_ORDER:
-        if not isinstance(nav, NavKind):
-            raise LogicError("partial-order 2-type needs a navigational alternative")
-    elif sig.dist is DistKind.TRANSITIVE:
-        if not (isinstance(nav, tuple) and len(nav) == 2):
-            raise LogicError("transitive 2-type needs (t(x,y), t(y,x)) polarities")
-        if nav[0] and nav[1] and not (x.t_diag and y.t_diag):
-            raise LogicError("mutual t forces both diagonal t literals")
-    elif nav is not None:
-        raise LogicError("plain signature admits no navigational component")
+def _check_nav(sig: Signature, x: OneType, y: OneType, nav: tuple[bool, bool]) -> None:
+    if nav not in _NAV_PAIRS:
+        raise LogicError("a 2-type needs the (dist(x,y), dist(y,x)) bit pair")
+    if sig.dist is DistKind.NONE and any(nav):
+        raise LogicError("plain signature admits no distinguished relation")
+    if all(nav) and sig.dist is DistKind.PARTIAL_ORDER:
+        raise LogicError("a strict partial order holds in at most one direction")
+    if all(nav) and not (x.t_diag and y.t_diag):
+        raise LogicError("mutual t forces both diagonal t literals")
 
 
 @dataclass(frozen=True)
@@ -756,7 +745,7 @@ class TwoType:
     x: OneType
     y: OneType
     cross: tuple[tuple[bool, bool], ...]  # (r(x,y), r(y,x)) per ordinary binary
-    nav: Nav
+    nav: tuple[bool, bool]  # (dist(x,y), dist(y,x))
 
     def __post_init__(self) -> None:
         if len(self.cross) != len(self.sig.binary):
@@ -764,13 +753,8 @@ class TwoType:
         _check_nav(self.sig, self.x, self.y, self.nav)
 
     def swap(self) -> "TwoType":
-        nav: Nav = self.nav
-        if isinstance(nav, NavKind):
-            nav = nav.swapped()
-        elif isinstance(nav, tuple):
-            nav = (nav[1], nav[0])
         return TwoType(
-            self.sig, self.y, self.x, tuple((b, a) for a, b in self.cross), nav
+            self.sig, self.y, self.x, tuple((b, a) for a, b in self.cross), self.nav[::-1]
         )
 
     def cross_of(self, r: str) -> tuple[bool, bool]:
@@ -781,17 +765,13 @@ class TwoType:
         for r, (fwd, bwd) in zip(self.sig.binary, self.cross):
             out.append(atom(r, "x", "y") if fwd else neg(atom(r, "x", "y")))
             out.append(atom(r, "y", "x") if bwd else neg(atom(r, "y", "x")))
-        if isinstance(self.nav, NavKind):
-            out.append(
-                {
-                    NavKind.LT: atom("<", "x", "y"),
-                    NavKind.GT: atom("<", "y", "x"),
-                    NavKind.SIM: atom("~", "x", "y"),
-                }[self.nav]
-            )
-        elif isinstance(self.nav, tuple):
-            out.append(Atom("t", ("x", "y")) if self.nav[0] else neg(Atom("t", ("x", "y"))))
-            out.append(Atom("t", ("y", "x")) if self.nav[1] else neg(Atom("t", ("y", "x"))))
+        fwd, bwd = self.nav
+        if self.sig.dist is DistKind.PARTIAL_ORDER:
+            pred, args = ("<", "xy") if fwd else ("<", "yx") if bwd else ("~", "xy")
+            out.append(atom(pred, *args))
+        elif self.sig.dist is DistKind.TRANSITIVE:
+            out.append(Atom("t", ("x", "y")) if fwd else neg(Atom("t", ("x", "y"))))
+            out.append(Atom("t", ("y", "x")) if bwd else neg(Atom("t", ("y", "x"))))
         return tuple(out)
 
     def formula(self) -> Formula:
@@ -809,7 +789,7 @@ class SemiDiagonalTwoType:
     sig: Signature
     x: OneType
     y: OneType
-    nav: Nav
+    nav: tuple[bool, bool]
 
     def __post_init__(self) -> None:
         _check_nav(self.sig, self.x, self.y, self.nav)
@@ -831,29 +811,20 @@ def two_type_of(s: Structure, a: int, b: int) -> TwoType:
     cross = tuple(
         ((a, b) in s.binary_of(r), (b, a) in s.binary_of(r)) for r in s.sig.binary
     )
-    nav: Nav = None
-    if s.sig.dist is DistKind.PARTIAL_ORDER:
-        if (a, b) in s.dist:
-            nav = NavKind.LT
-        elif (b, a) in s.dist:
-            nav = NavKind.GT
-        else:
-            nav = NavKind.SIM
-    elif s.sig.dist is DistKind.TRANSITIVE:
-        nav = ((a, b) in s.dist, (b, a) in s.dist)
+    nav = ((a, b) in s.dist, (b, a) in s.dist)
     return TwoType(s.sig, one_type_of(s, a), one_type_of(s, b), cross, nav)
 
 
-def enumerate_nav(sig: Signature, x: OneType, y: OneType) -> tuple[Nav, ...]:
-    """The navigational alternatives consistent with the given endpoint types."""
+def enumerate_nav(sig: Signature, x: OneType, y: OneType) -> tuple[tuple[bool, bool], ...]:
+    """The (dist(x,y), dist(y,x)) pairs consistent with the given endpoint
+    types: x < y, y < x and x ~ y for a partial order; none, x to y, y to
+    x, and mutual if both endpoints have t loops, for a transitive t."""
     if sig.dist is DistKind.PARTIAL_ORDER:
-        return (NavKind.LT, NavKind.GT, NavKind.SIM)
+        return ((True, False), (False, True), (False, False))
     if sig.dist is DistKind.TRANSITIVE:
-        alts: list[Nav] = [(False, False), (True, False), (False, True)]
-        if x.t_diag and y.t_diag:
-            alts.append((True, True))
-        return tuple(alts)
-    return (None,)
+        alts = ((False, False), (True, False), (False, True))
+        return alts + ((True, True),) if x.t_diag and y.t_diag else alts
+    return ((False, False),)
 
 
 def enumerate_semi_diagonal_types(sig: Signature) -> Iterator[SemiDiagonalTwoType]:
@@ -899,9 +870,7 @@ def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
 
 def pair_structure(tau: TwoType) -> Structure:
     """The canonical 2-element structure realizing tau on the pair (0, 1)."""
-    nav = tau.nav
-    dist = nav if isinstance(nav, tuple) else (nav is NavKind.LT, nav is NavKind.GT)
-    return _realize(tau.sig, (tau.x, tau.y), tau.cross + (dist,))
+    return _realize(tau.sig, (tau.x, tau.y), tau.cross + (tau.nav,))
 
 
 def eval_on_pair_type(f: Formula, tau: TwoType) -> bool:

@@ -27,7 +27,6 @@ from .logic import (
     Formula,
     Implies,
     LogicError,
-    NavKind,
     Not,
     OneType,
     Or,
@@ -159,20 +158,12 @@ def semi_type_literals(tm: SemiDiagonalTwoType | TwoType) -> frozenset[Literal]:
     keys = tm.sig.one_type_keys()
     out = set(zip(tm.x.bits, keys))
     out.update(zip(tm.y.bits, map(swap_key, keys)))
-    out.update(_nav_literals(tm.nav))
+    fwd, bwd = tm.nav
+    if tm.sig.dist is DistKind.PARTIAL_ORDER:
+        out.update({(fwd, ("lt", "x", "y")), (bwd, ("lt", "y", "x")), (not (fwd or bwd), ("sim",))})
+    elif tm.sig.dist is DistKind.TRANSITIVE:
+        out.update({(fwd, ("t", "x", "y")), (bwd, ("t", "y", "x"))})
     return frozenset(out)
-
-
-def _nav_literals(nav) -> set[Literal]:
-    if isinstance(nav, NavKind):
-        return {
-            (nav is NavKind.LT, ("lt", "x", "y")),
-            (nav is NavKind.GT, ("lt", "y", "x")),
-            (nav is NavKind.SIM, ("sim",)),
-        }
-    if isinstance(nav, tuple):
-        return {(nav[0], ("t", "x", "y")), (nav[1], ("t", "y", "x"))}
-    return set()
 
 
 def _violates(lits: frozenset[Literal], cs) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .logic import (
     And,
@@ -37,7 +37,6 @@ from .logic import (
     Formula,
     Implies,
     LogicError,
-    NavKind,
     OneType,
     Or,
     Pair,
@@ -48,6 +47,7 @@ from .logic import (
     TwoType,
     VerificationFailure,
     conj,
+    enumerate_nav,
     eval_on_pair_type,
     eval_unary_on_type,
     evaluate,
@@ -326,20 +326,6 @@ class _TypedEngine:
                 per.append(((False, False),))
         return per
 
-    def _nav_choices(self, tx: OneType, ty: OneType):
-        if self.sig.dist is DistKind.PARTIAL_ORDER:
-            if self.usage.nav:
-                return (NavKind.LT, NavKind.GT, NavKind.SIM)
-            return (NavKind.SIM,)
-        if self.sig.dist is DistKind.TRANSITIVE:
-            if self.usage.t_cross:
-                alts = [(False, False), (True, False), (False, True)]
-                if tx.t_diag and ty.t_diag:
-                    alts.append((True, True))
-                return tuple(alts)
-            return ((False, False),)
-        return (None,)
-
     def _pair_entries(self, ti: int, tj: int):
         """Allowed 2-type completions for an ordered pair of 1-type codes,
         with bitmasks of the witness conjuncts each direction satisfies.
@@ -353,8 +339,12 @@ class _TypedEngine:
             return hit
         tx, ty = self.types[ti], self.types[tj]
         taus = []
+        # Without an order atom the distinguished relation stays empty
+        # between distinct elements.
+        use = self.usage
+        navs = enumerate_nav(self.sig, tx, ty) if use.nav or use.t_cross else ((False, False),)
         for cross in itertools.product(*self._cross_choices()):
-            for nav in self._nav_choices(tx, ty):
+            for nav in navs:
                 tau = TwoType(self.sig, tx, ty, cross, nav)
                 if self.shape.universal2 and not (
                     eval_on_pair_type(self.u2, tau)
@@ -458,7 +448,7 @@ class _TypedEngine:
             if prev_idx is not None and idx < prev_idx:
                 continue
             self._tick()
-            a_ij, a_ji = self._dist_bits(tau)
+            a_ij, a_ji = tau.nav
             self.rel[i][j], self.rel[j][i] = a_ij, a_ji
             if self._transitive_at(i, j):
                 self.taus[(i, j)] = tau
@@ -476,13 +466,6 @@ class _TypedEngine:
                 del self.altidx[(i, j)]
             self.rel[i][j] = self.rel[j][i] = False
         return None
-
-    def _dist_bits(self, tau: TwoType) -> tuple[bool, bool]:
-        if isinstance(tau.nav, NavKind):
-            return tau.nav is NavKind.LT, tau.nav is NavKind.GT
-        if isinstance(tau.nav, tuple):
-            return tau.nav
-        return False, False
 
     def _transitive_at(self, i: int, j: int) -> bool:
         # Triangles whose three pairs are all assigned: elements k < i
@@ -634,7 +617,13 @@ def _subst_t_top(f: Formula) -> Formula:
     return rewrite(f, lambda g: TRUE if isinstance(g, Atom) and g.pred == "t" else None)
 
 
-LOGIC_TAGS = ("l2", "l2-1po-u", "l2-1po", "l2-1t")
+#: The kind of distinguished relation each logic tag's signature has.
+LOGIC_DIST = {
+    "l2": DistKind.NONE,
+    "l2-1po-u": DistKind.PARTIAL_ORDER,
+    "l2-1po": DistKind.PARTIAL_ORDER,
+    "l2-1t": DistKind.TRANSITIVE,
+}
 
 
 def decide(
@@ -673,14 +662,9 @@ def decide(
 
 
 def _check_logic(sig: Signature, logic: str) -> None:
-    if logic not in LOGIC_TAGS:
+    want = LOGIC_DIST.get(logic)
+    if want is None:
         raise PreconditionError(f"unknown logic tag {logic!r}")
-    want = {
-        "l2": DistKind.NONE,
-        "l2-1po-u": DistKind.PARTIAL_ORDER,
-        "l2-1po": DistKind.PARTIAL_ORDER,
-        "l2-1t": DistKind.TRANSITIVE,
-    }[logic]
     if sig.dist is not want:
         raise PreconditionError(
             f"logic {logic} needs a {want.value} signature, got {sig.dist.value}"
@@ -689,23 +673,17 @@ def _check_logic(sig: Signature, logic: str) -> None:
         raise PreconditionError("the unary fragment admits no ordinary binary predicates")
 
 
-def expansion_exists(
-    base: Structure, phi: Formula, sig_ext: Signature, fresh: Sequence[str]
+def find_expansion(
+    base: Structure, phi: Formula, sig: Signature, budget: Optional[SearchBudget] = None
 ) -> Optional[Structure]:
-    """Search assignments of fresh unary predicates over a fixed structure
-    for an expansion satisfying phi."""
-    fresh = list(fresh)
-    n = base.size
-    for bits in itertools.product((False, True), repeat=n * len(fresh)):
-        unary = dict(base.unary)
-        for i, p in enumerate(fresh):
-            unary[p] = frozenset(
-                a for a in range(n) if bits[i * n + a]
-            )
-        cand = Structure(sig_ext, n, unary, base.binary, base.dist)
-        if evaluate(cand, phi):
-            return cand
-    return None
+    """An expansion of base to sig that satisfies phi, or None after
+    exhaustive search.  sig is base's signature with more unary predicates;
+    base's own atoms stay fixed, and only the new predicates vary.  The
+    grounded engine searches, with budget.node_limit decisions."""
+    own = base.sig
+    if (own.binary, own.dist) != (sig.binary, sig.dist) or not set(own.unary) <= set(sig.unary):
+        raise PreconditionError("an expansion adds unary predicates only")
+    return GroundEngine(phi, sig).run(base.size, (budget or SearchBudget()).node_limit, base)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,21 @@ def all_structures(sig, size):
                 )
 
 
+def expansion_by_enumeration(base: Structure, f, sig):
+    """The first expansion of base to sig that satisfies f, trying every
+    labelling of the unary predicates base lacks, or None."""
+    fresh = [p for p in sig.unary if p not in base.sig.unary]
+    n = base.size
+    for bits in itertools.product((False, True), repeat=n * len(fresh)):
+        unary = dict(base.unary)
+        for i, p in enumerate(fresh):
+            unary[p] = frozenset(a for a in range(n) if bits[i * n + a])
+        cand = Structure(sig, n, unary, base.binary, base.dist)
+        if naive_eval(cand, f):
+            return cand
+    return None
+
+
 def cnf_satisfiable(n_vars: int, clauses) -> bool:
     """Whether some assignment of variables 1..n_vars satisfies every
     clause (lists of nonzero integers, -v for "not v"), by trying all

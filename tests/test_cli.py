@@ -46,6 +46,38 @@ def test_budget_out_exits_2(command, formula_file, monkeypatch, capsys):
     assert "exceeded 50 nodes" in capsys.readouterr().out
 
 
+# A 3-element model of FACTOR_PHI; its basic set has 6 fresh labels.
+FACTOR_MODEL = """signature: partial_order
+unary: p q
+binary:
+size: 3
+set p: 0 1
+set q: 1 2
+dist: 0,1 0,2 1,2
+"""
+FACTOR_PHI = "forall x (p(x) -> exists y (x < y & q(y))) & exists x p(x)"
+
+
+def test_factorize_labels_a_model_by_search(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text(FACTOR_MODEL)
+    (tmp_path / "phi.txt").write_text(FACTOR_PHI)
+    start = time.perf_counter()
+    code = cli.main(["factorize", str(tmp_path / "s.txt"), "--formula", str(tmp_path / "phi.txt")])
+    assert code == cli.EXIT_OK
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("block ") for line in out) == 3
+
+
+def test_factorize_budget_out_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "s.txt").write_text(FACTOR_MODEL)
+    (tmp_path / "phi.txt").write_text(FACTOR_PHI)
+    monkeypatch.setattr(cli, "SearchBudget", functools.partial(SearchBudget, node_limit=0))
+    code = cli.main(["factorize", str(tmp_path / "s.txt"), "--formula", str(tmp_path / "phi.txt")])
+    assert code == cli.EXIT_UNKNOWN == 2
+    assert "exceeded 0 nodes" in capsys.readouterr().err
+
+
 def test_pipeline_verify_reports_a_budget_out_as_unknown():
     sig = Signature(("a", "b"), (), DistKind.TRANSITIVE)
     report = pipeline_verify(

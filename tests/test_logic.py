@@ -14,12 +14,15 @@ from finsat.logic import (
     Eq,
     Exists,
     Forall,
+    LogicError,
     Not,
+    OneType,
     Or,
     PreconditionError,
     Signature,
     SignatureMismatchError,
     Structure,
+    TwoType,
     check_distinguished,
     enumerate_one_types,
     enumerate_semi_diagonal_types,
@@ -29,11 +32,11 @@ from finsat.logic import (
     is_quantifier_free,
     one_type_of,
     order_violations,
+    pair_structure,
     subformulas,
     substitute,
     swap_xy,
     two_type_of,
-    NavKind,
 )
 from finsat.parsing import parse_formula
 from finsat.solver import random_formula, random_structure
@@ -103,10 +106,10 @@ def test_one_type_transitive_diagonal():
 
 def test_two_type_navigational_alternatives():
     s = Structure(PO, 2, {}, {}, frozenset({(0, 1)}))
-    assert two_type_of(s, 0, 1).nav is NavKind.LT
-    assert two_type_of(s, 1, 0).nav is NavKind.GT
+    assert two_type_of(s, 0, 1).nav == (True, False)  # 0 < 1
+    assert two_type_of(s, 1, 0).nav == (False, True)  # 1 > 0
     empty = Structure(PO, 2, {}, {}, frozenset())
-    assert two_type_of(empty, 0, 1).nav is NavKind.SIM
+    assert two_type_of(empty, 0, 1).nav == (False, False)  # 0 ~ 1
 
 
 def test_two_type_requires_distinct_elements():
@@ -160,13 +163,7 @@ def test_exactly_one_navigational_alternative():
         s = random_structure(seed, PO, 5)
         for a, b in itertools.permutations(range(5), 2):
             nav = two_type_of(s, a, b).nav
-            count = sum(
-                (
-                    nav is NavKind.LT,
-                    nav is NavKind.GT,
-                    nav is NavKind.SIM,
-                )
-            )
+            count = sum((nav == (True, False), nav == (False, True), nav == (False, False)))
             assert count == 1
 
 
@@ -175,6 +172,43 @@ def test_mutual_t_forces_diagonals():
     s = Structure(sig, 2, {}, {}, frozenset({(0, 1), (1, 0), (0, 0), (1, 1)}))
     tau = two_type_of(s, 0, 1)
     assert tau.nav == (True, True) and tau.x.t_diag and tau.y.t_diag
+
+
+@pytest.mark.parametrize("dist", list(DistKind), ids=lambda d: d.value)
+def test_a_two_type_is_the_pair_of_distinguished_bits(dist):
+    sig = Signature(("p",), ("r",), dist)
+    seen = set()
+    for semi in enumerate_semi_diagonal_types(sig):
+        for tau in semi.extensions():
+            assert two_type_of(pair_structure(tau), 0, 1) == tau
+            assert tau.swap().swap() == tau
+            assert tau.swap() == two_type_of(pair_structure(tau), 1, 0)
+            seen.add(tau.nav)
+    want = {
+        DistKind.NONE: {(False, False)},
+        DistKind.PARTIAL_ORDER: {(False, False), (True, False), (False, True)},
+        DistKind.TRANSITIVE: {(False, False), (True, False), (False, True), (True, True)},
+    }[dist]
+    assert seen == want
+
+
+@pytest.mark.parametrize(
+    "dist, nav",
+    [
+        (DistKind.NONE, (True, False)),
+        (DistKind.NONE, (False, True)),
+        (DistKind.NONE, (True, True)),
+        (DistKind.PARTIAL_ORDER, (True, True)),
+        (DistKind.TRANSITIVE, (True, True)),  # the endpoints have no t loops
+        (DistKind.PARTIAL_ORDER, None),
+        (DistKind.TRANSITIVE, (True,)),
+    ],
+)
+def test_a_two_type_rejects_bits_its_signature_forbids(dist, nav):
+    sig = Signature((), (), dist)
+    bare = OneType(sig, (False,) * len(sig.one_type_keys()))
+    with pytest.raises(LogicError):
+        TwoType(sig, bare, bare, (), nav)
 
 
 def test_semi_diagonal_enumeration_counts():

@@ -37,7 +37,7 @@ from finsat.normal_forms import (
     weak_to_standard,
 )
 from finsat.parsing import parse_formula, print_formula
-from finsat.solver import expansion_exists, find_model, random_formula, random_structure
+from finsat.solver import find_expansion, find_model, random_formula, random_structure
 
 from fixtures import rewrite_cases
 
@@ -120,14 +120,10 @@ def test_model_expansion_over_fresh_predicates_only():
     for seed in (3, 7, 11, 19):
         phi = random_formula(seed, L2, depth=3)
         snf, sig2 = to_standard_nf(phi, L2)
-        fresh = sig2.unary[len(L2.unary):]
-        if len(fresh) * 3 > 12:
-            continue
         m = find_model(phi, L2, 3)
         if m is None:
             continue
-        lifted = Structure(sig2, m.size, dict(m.unary), dict(m.binary), m.dist)
-        assert expansion_exists(lifted, snf.to_formula(), sig2, fresh) is not None
+        assert find_expansion(m, snf.to_formula(), sig2) is not None
 
 
 def test_weak_to_standard_bookkeeping():

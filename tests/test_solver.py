@@ -9,12 +9,25 @@ import pytest
 from finsat.cdcl import CDCL
 from finsat.cliques import EnumerationBudget, cliquify
 from finsat.ground import GroundEngine
-from finsat.logic import FALSE, TRUE, And, DistKind, Not, Signature, Structure, evaluate, subformulas
+from finsat.logic import (
+    FALSE,
+    TRUE,
+    And,
+    DistKind,
+    Not,
+    PreconditionError,
+    Signature,
+    Structure,
+    evaluate,
+    subformulas,
+)
+from finsat.normal_forms import to_standard_nf
 from finsat.parsing import parse_formula
 from finsat.solver import (
     BudgetExceeded,
     SearchBudget,
     decide,
+    find_expansion,
     find_model,
     random_formula,
     random_structure,
@@ -24,7 +37,13 @@ from finsat.solver import (
 )
 
 from fixtures import MIN_INF, TS, rewrite_cases
-from oracles import all_structures, cnf_satisfiable, unit_propagate
+from oracles import (
+    all_structures,
+    cnf_satisfiable,
+    expansion_by_enumeration,
+    naive_eval,
+    unit_propagate,
+)
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
 PQR = Signature(("p", "q", "r"), (), DistKind.NONE)
@@ -83,6 +102,42 @@ def test_node_limit_applies_per_size_searched():
     budget = SearchBudget(max_size=4, node_limit=limit)
     assert smallest_model(phi, T0, budget) is None
     assert decide(phi, T0, "l2-1t", budget).kind == "no_model_up_to"
+
+
+EXPANSION_SIGS = {
+    "l2": Signature(("p",), ("r",), DistKind.NONE),
+    "po": Signature(("p",), (), DistKind.PARTIAL_ORDER),
+    "t": Signature(("p",), (), DistKind.TRANSITIVE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_SIGS))
+def test_find_expansion_agrees_with_brute_force(name):
+    # Standard NF adds fresh unary predicates; base keeps its own atoms.
+    sig = EXPANSION_SIGS[name]
+    found = []
+    for seed in range(40):
+        snf, sig2 = to_standard_nf(random_formula(seed, sig, depth=3), sig)
+        f = snf.to_formula()
+        base = random_structure(seed, sig, 2 + seed % 2)
+        if (len(sig2.unary) - len(sig.unary)) * base.size > 12:
+            continue
+        want = expansion_by_enumeration(base, f, sig2)
+        got = find_expansion(base, f, sig2)
+        assert (got is None) == (want is None), seed
+        if got is not None:
+            assert naive_eval(got, f)
+            own = {p: got.unary_of(p) for p in sig.unary}
+            assert Structure(sig, got.size, own, got.binary, got.dist) == base
+        found.append(got is not None)
+    assert True in found and False in found
+
+
+def test_find_expansion_adds_unary_predicates_only():
+    sig = EXPANSION_SIGS["po"]
+    base = random_structure(0, sig, 2)
+    with pytest.raises(PreconditionError):
+        find_expansion(base, TRUE, Signature(("p",), ("r",), DistKind.PARTIAL_ORDER))
 
 
 def test_smallest_model_returns_the_smallest_size():
