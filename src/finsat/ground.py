@@ -16,6 +16,11 @@ literals (an "or" is the negated "and" of the negated literals), keyed by
 its sorted literal set, so one distinct gate gets one variable per size
 searched, wherever it occurs.  Gate definitions are two-sided.
 
+Planning, folding and lowering visit each shared subformula (one object
+reached along several paths, as in cliquify's output or a parsed '<->')
+once per call, so their cost is per distinct node; the clauses are the
+same as for an unshared copy of the formula.
+
 cdcl.py follows Chaff (Moskewicz et al., DAC 2001) and MiniSat (Een and
 Sorensson, SAT 2003).  Unit propagation watches two literals of each long
 clause; a binary clause lives only in two implication lists.  Each
@@ -46,6 +51,7 @@ from .logic import (
     LogicError,
     Not,
     Or,
+    PreconditionError,
     Signature,
     Structure,
     VerificationFailure,
@@ -85,37 +91,43 @@ class _Template:
         self.top = top
 
 
-def _plan(f: Formula, pol: bool):
+def _plan(f: Formula, pol: bool, memo: dict):
     """f under polarity pol, with negations pushed into the connectives
     and quantifiers and its maximal quantifier-free subformulas replaced by
     _Matrix nodes, and f's free variables: polarity flows down and free
     variables up, in one pass.  The plan is None when f is quantifier-free;
     otherwise it is ("and" | "or", plans) or ("forall" | "exists", var,
-    plan)."""
+    plan).  memo holds the result for each (id(g), pol) of a non-atom g
+    already planned, so a shared subformula yields one plan."""
     if isinstance(f, Atom):
         return None, frozenset(f.args)
     if isinstance(f, Eq):
         return None, frozenset((f.left, f.right))
+    out = memo.get((id(f), pol))
+    if out is not None:
+        return out
     if isinstance(f, Not):
-        return _plan(f.sub, not pol)
-    if isinstance(f, (Forall, Exists)):
-        p, free = _plan(f.body, pol)
-        if p is None:
-            p = _Matrix(f.body, pol, free)
+        out = _plan(f.sub, not pol, memo)
+    elif isinstance(f, (Forall, Exists)):
+        p, free = _plan(f.body, pol, memo)
         kind = "forall" if isinstance(f, Forall) == pol else "exists"
-        return (kind, f.var, p), free - {f.var}
-    if isinstance(f, Implies):
-        subs, conjunctive = ((f.left, not pol), (f.right, pol)), not pol
-    elif isinstance(f, (And, Or)):
-        subs, conjunctive = [(s, pol) for s in f.subs], isinstance(f, And) == pol
+        out = (kind, f.var, _Matrix(f.body, pol, free) if p is None else p), free - {f.var}
     else:
-        raise LogicError(f"bad formula node {f!r}")
-    parts = [_plan(s, q) for s, q in subs]
-    free = frozenset().union(*(fv for _, fv in parts))
-    if all(p is None for p, _ in parts):
-        return None, free
-    plans = [_Matrix(s, q, fv) if p is None else p for (s, q), (p, fv) in zip(subs, parts)]
-    return ("and" if conjunctive else "or", plans), free
+        if isinstance(f, Implies):
+            subs, conjunctive = ((f.left, not pol), (f.right, pol)), not pol
+        elif isinstance(f, (And, Or)):
+            subs, conjunctive = [(s, pol) for s in f.subs], isinstance(f, And) == pol
+        else:
+            raise LogicError(f"bad formula node {f!r}")
+        parts = [_plan(s, q, memo) for s, q in subs]
+        free = frozenset().union(*(fv for _, fv in parts))
+        if all(p is None for p, _ in parts):
+            out = None, free
+        else:
+            plans = [_Matrix(s, q, fv) if p is None else p for (s, q), (p, fv) in zip(subs, parts)]
+            out = ("and" if conjunctive else "or", plans), free
+    memo[id(f), pol] = out
+    return out
 
 
 def _gather(kids: Iterable, conjunctive: bool):
@@ -151,39 +163,49 @@ def _atom_node(f: Atom, env: dict[str, int], pol: bool, sig: Signature, var):
     return lit if pol else -lit
 
 
-def _fold(f: Formula, env: dict[str, int], pol: bool, sig: Signature, var):
+def _fold(f: Formula, env: dict[str, int], pol: bool, sig: Signature, var, memo: dict):
     """Quantifier-free f under env and polarity as a node: a bool, a
-    literal, or ("and" | "or", kids)."""
+    literal, or ("and" | "or", kids).  memo holds the node for each
+    (id(g), pol) of a non-atom g already folded under env."""
     if isinstance(f, Atom):
         return _atom_node(f, env, pol, sig, var)
     if isinstance(f, Eq):
         return (env[f.left] == env[f.right]) == pol
+    node = memo.get((id(f), pol))
+    if node is not None:
+        return node
     if isinstance(f, Not):
-        return _fold(f.sub, env, not pol, sig, var)
-    if isinstance(f, (And, Or)):
-        kids = (_fold(s, env, pol, sig, var) for s in f.subs)
-        return _gather(kids, isinstance(f, And) == pol)
-    if isinstance(f, Implies):
-        kids = (_fold(s, env, p, sig, var) for s, p in ((f.left, not pol), (f.right, pol)))
-        return _gather(kids, not pol)
-    raise LogicError(f"bad formula node {f!r}")
+        node = _fold(f.sub, env, not pol, sig, var, memo)
+    elif isinstance(f, (And, Or)):
+        kids = (_fold(s, env, pol, sig, var, memo) for s in f.subs)
+        node = _gather(kids, isinstance(f, And) == pol)
+    elif isinstance(f, Implies):
+        kids = (_fold(s, env, p, sig, var, memo) for s, p in ((f.left, not pol), (f.right, pol)))
+        node = _gather(kids, not pol)
+    else:
+        raise LogicError(f"bad formula node {f!r}")
+    memo[id(f), pol] = node
+    return node
 
 
 def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Template:
     """The template of matrix f, with env mapping its free variables to
-    pattern positions."""
+    pattern positions.  The folded tree shares a shared subformula's
+    node, and numbering and lowering visit each node once."""
     first: dict[tuple, int] = {}  # (prefix, positions) -> provisional variable
-    tree = _fold(f, env, pol, sig, lambda *key: first.setdefault(key, len(first) + 1))
+    tree = _fold(f, env, pol, sig, lambda *key: first.setdefault(key, len(first) + 1), {})
     if isinstance(tree, bool):
         return _Template([], [], tree)
     # Number only the atoms that survived folding.
     reached = set()
+    seen = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, int):
             reached.add(abs(node))
-        else:
+        elif id(node) not in seen:
+            seen.add(id(node))
             stack.extend(node[1])
     local = {}
     atoms = []
@@ -193,10 +215,14 @@ def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Tem
             local[v] = len(atoms)
     gates: list[tuple[int, ...]] = []
     gate_of: dict[tuple[int, ...], int] = {}
+    lowered: dict[int, int] = {}  # id(node) -> local literal
 
     def lower(node) -> int:
         if isinstance(node, int):
             return local[node] if node > 0 else -local[-node]
+        lit = lowered.get(id(node))
+        if lit is not None:
+            return lit
         kind, kids = node
         lits = [lower(k) for k in kids]
         if kind == "or":
@@ -206,7 +232,8 @@ def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Tem
         if z is None:
             gates.append(key)
             z = gate_of[key] = len(atoms) + len(gates)
-        return z if kind == "and" else -z
+        lit = lowered[id(node)] = z if kind == "and" else -z
+        return lit
 
     def lower_top(node):
         if isinstance(node, int):
@@ -238,12 +265,15 @@ def _relabel(node, lit: list[int]):
 class GroundEngine:
     """The engine for every signature past the typed engine's limits.
     One engine serves every size searched: the plan and its compiled
-    templates are kept, and each run grounds its size afresh."""
+    templates are kept, and each run grounds its size afresh.  A formula
+    with free variables is refused, as evaluate refuses it."""
 
     def __init__(self, phi: Formula, sig: Signature) -> None:
         self.phi = phi
         self.sig = sig
-        plan, free = _plan(phi, True)
+        plan, free = _plan(phi, True, {})
+        if free:
+            raise PreconditionError(f"unassigned free variables {sorted(free)}")
         self.plan = _Matrix(phi, True, free) if plan is None else plan
 
     def run(self, n: int, node_limit: int, base: Optional[Structure] = None) -> Optional[Structure]:

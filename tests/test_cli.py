@@ -94,6 +94,16 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("logic", ["l2", "l2-1t"])
+def test_a_free_variable_is_a_usage_error_on_either_engine(formula_file, capsys, logic):
+    # The plain signature reaches the typed engine; the t cross atom
+    # without a t(u,u) atom reaches the grounded engine.
+    text = "exists x (t(x,y) & !t(y,x))" if logic == "l2-1t" else "exists x (p(x) & !p(y))"
+    args = ["decide", "--logic", logic, "--unary", "p", formula_file(text)]
+    assert cli.main(args) == cli.EXIT_USAGE == 64
+    assert "unassigned free variables ['y']" in capsys.readouterr().err
+
+
 def test_seed_is_not_a_decide_option(formula_file):
     args = ["decide", "--logic", "l2", "--unary", "p", "--seed", "3", formula_file("exists x p(x)")]
     assert cli.main(args) == cli.EXIT_USAGE

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from finsat import ground
 from finsat.cdcl import CDCL
 from finsat.cliques import EnumerationBudget, cliquify
 from finsat.ground import GroundEngine
@@ -13,8 +14,14 @@ from finsat.logic import (
     FALSE,
     TRUE,
     And,
+    Atom,
     DistKind,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
     Not,
+    Or,
     PreconditionError,
     Signature,
     Structure,
@@ -321,6 +328,76 @@ def test_separate_copies_of_a_formula_share_every_variable():
         assert a.encode(k) and b.encode(k)
         assert a.n_vars > len(a.var_of)  # so there are gates to share
         assert b.n_vars == a.n_vars
+
+
+def test_grounded_engine_refuses_a_free_variable():
+    phi = parse_formula("exists x (t(x,y) & !t(y,x))", T0)
+    # The t cross atom without a t(u,u) atom sends auto to the grounded engine.
+    for engine in ("ground", "auto"):
+        with pytest.raises(PreconditionError, match=r"unassigned free variables \['y'\]"):
+            find_model(phi, T0, 2, engine=engine)
+    sig = Signature(("p",), (), DistKind.TRANSITIVE)
+    with pytest.raises(PreconditionError, match="unassigned free variables"):
+        find_expansion(random_structure(0, T0, 2), parse_formula("exists x (p(x) & t(x,y))", sig), sig)
+
+
+def _unshared(f):
+    """A copy of f in which every connective and quantifier is a node of
+    its own: each non-atom node is rebuilt by its constructor.
+    logic.rewrite would not do, since its neg collapses !!f."""
+    if isinstance(f, (Atom, Eq)):
+        return f
+    if isinstance(f, Not):
+        return Not(_unshared(f.sub))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_unshared(s) for s in f.subs))
+    if isinstance(f, Implies):
+        return Implies(_unshared(f.left), _unshared(f.right))
+    return type(f)(f.var, _unshared(f.body))
+
+
+def _shared_cases():
+    res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
+    l2 = DIFF_SIGS["l2"]
+    # Each '<->' holds both of its sides twice.
+    iff = "r(x,y)"
+    for atom in ("p(x)", "p(y)", "r(y,x)", "r(x,x)") * 2:
+        iff = f"{atom} <-> ({iff})"
+    cases = [(res.snf.to_formula(), res.sig_hat), (parse_formula(f"forall x exists y ({iff})", l2), l2)]
+    cases += [(random_formula(seed, sig, depth=3), sig) for sig in DIFF_SIGS.values() for seed in range(20)]
+    return cases
+
+
+def test_a_shared_formula_grounds_like_an_unshared_copy():
+    for phi, sig in _shared_cases():
+        for k in (2, 3):
+            shared, copy = GroundEngine(phi, sig), GroundEngine(_unshared(phi), sig)
+            assert shared.encode(k) == copy.encode(k)
+            assert shared.n_vars == copy.n_vars
+            assert list(shared.var_of.items()) == list(copy.var_of.items())
+            assert shared.clauses == copy.clauses
+
+
+def test_grounding_reads_each_shared_subformula_once(monkeypatch):
+    res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
+    phi = res.snf.to_formula()
+    calls = 0
+    atom_node = ground._atom_node
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return atom_node(*args)
+
+    monkeypatch.setattr(ground, "_atom_node", counted)
+    seen = []
+    for f in (phi, _unshared(phi)):
+        calls = 0
+        assert GroundEngine(f, res.sig_hat).encode(2)
+        seen.append(calls)
+    # Atoms stay shared in the copy, so only the memo on negations and
+    # connectives tells the two apart: 3,201 calls against 12,224.
+    assert 3 * seen[0] <= seen[1]
 
 
 def _random_3cnf(seed: int) -> tuple[int, list[list[int]]]:
