@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .logic import BudgetExceeded
+from .logic import BudgetExceeded, VerificationFailure
 
 
 def _luby(i: int) -> int:
@@ -33,19 +33,23 @@ class CDCL:
     the clauses to visit when lit becomes false).  A binary clause (a | b)
     is kept only in the implication lists, as b under -a and a under -b.
     The reason of an implied literal is its clause, with the implied
-    literal first, or the other literal of a binary clause."""
+    literal first, or the other literal of a binary clause.  Only the
+    variables the caller names are branched on (Giunchiglia et al., JELIA
+    2002): for a Tseitin encoding, its inputs, since propagation then fixes
+    every gate; a refutation is still a conflict at level 0."""
 
     RESTART_UNIT = 100
     DECAY = 0.95
 
     def __init__(
-        self, n_vars: int, clauses: list[list[int]], first: Iterable[int] = ()
+        self, n_vars: int, clauses: list[list[int]], branch_on: Optional[Iterable[int]] = None
     ) -> None:
         """Load the clauses at decision level 0.  The solver takes the
         clause lists over (it reorders their literals) and empties the
-        outer list as it goes, so no second copy is kept.  The variables
-        in first are branched on before the others until conflicts
-        reorder them."""
+        outer list as it goes, so no second copy is kept.  The search
+        branches only on the distinct variables in branch_on (every
+        variable by default); propagation must fix the others once these
+        are set, or solve raises VerificationFailure."""
         size = 2 * n_vars + 1
         self.val = [0] * size  # 1 true, -1 false, 0 unassigned
         self.watches: list[list[list[int]]] = [[] for _ in range(size)]
@@ -54,13 +58,12 @@ class CDCL:
         self.reason: list = [None] * (n_vars + 1)
         self.phase = [False] * (n_vars + 1)  # polarity last assigned
         self.seen = [False] * (n_vars + 1)
-        self.activity = act = [0.0] * (n_vars + 1)
-        for v in first:
-            act[v] = 1e-3  # below the first bump, 1.0
+        self.activity = [0.0] * (n_vars + 1)
         self.bump = 1.0
-        # Max-heap of variables by activity; pos[v] is v's index, or -1.
-        self.heap = sorted(range(1, n_vars + 1), key=lambda v: -act[v])
-        self.pos = [-1] * (n_vars + 1)
+        # Max-heap of the variables branched on, by activity; pos[v] is v's
+        # index, -1 while v is out of it, or -2 if v is never branched on.
+        self.heap = list(range(1, n_vars + 1) if branch_on is None else branch_on)
+        self.pos = [-2] * (n_vars + 1)
         for i, v in enumerate(self.heap):
             self.pos[v] = i
         self.trail: list[int] = []
@@ -106,7 +109,8 @@ class CDCL:
     def solve(self, node_limit: int) -> Optional[list[int]]:
         """A satisfying assignment as a literal-indexed table (1 true, -1
         false), or None if there is none.  Raises BudgetExceeded when the
-        search needs more than node_limit decisions."""
+        search needs more than node_limit decisions, and VerificationFailure
+        if a variable not branched on is left unset."""
         if not self.ok:
             return None
         restarts = 0
@@ -129,6 +133,8 @@ class CDCL:
                 self._backtrack(0)
             v = self._pick()
             if v == 0:
+                if len(self.trail) < len(self.level) - 1:
+                    raise VerificationFailure("a variable not branched on is left unassigned")
                 return self.val
             self.decisions += 1
             if self.decisions > node_limit:
@@ -282,7 +288,7 @@ class CDCL:
             val[-lit] = 0
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
-            if pos[v] < 0:
+            if pos[v] == -1:
                 self._heap_insert(v)
         del trail[lim:]
         del self.limits[lvl:]

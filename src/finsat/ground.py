@@ -26,10 +26,11 @@ Sorensson, SAT 2003).  Unit propagation watches two literals of each long
 clause; a binary clause lives only in two implication lists.  Each
 conflict is analysed back to its first unique implication point, and the
 learnt clause is minimized locally: a literal goes if its reason holds only
-literals already in the clause.  Branching takes the unassigned variable of
-highest VSIDS activity from a heap that holds each variable at most once,
-and gives it the polarity it last had (phase saving); until the first
-conflict, that is an atom's variable, set false.  The search restarts after
+literals already in the clause.  Branching takes the unassigned atom
+variable of highest VSIDS activity from a heap that holds each at most
+once, and gives it the polarity it last had (phase saving), false at
+first.  Gate variables are never branched on: once every atom is set, the
+two-sided definitions fix them by propagation.  The search restarts after
 100 times the next Luby term of conflicts.
 """
 
@@ -97,16 +98,16 @@ def _plan(f: Formula, pol: bool, memo: dict):
     _Matrix nodes, and f's free variables: polarity flows down and free
     variables up, in one pass.  The plan is None when f is quantifier-free;
     otherwise it is ("and" | "or", plans) or ("forall" | "exists", var,
-    plan).  memo holds the result for each (id(g), pol) of a non-atom g
-    already planned, so a shared subformula yields one plan."""
-    if isinstance(f, Atom):
-        return None, frozenset(f.args)
-    if isinstance(f, Eq):
-        return None, frozenset((f.left, f.right))
+    plan).  memo holds the result for each (id(g), pol) of a g already
+    planned, so a shared subformula yields one plan."""
     out = memo.get((id(f), pol))
     if out is not None:
         return out
-    if isinstance(f, Not):
+    if isinstance(f, Atom):
+        out = None, frozenset(f.args)
+    elif isinstance(f, Eq):
+        out = None, frozenset((f.left, f.right))
+    elif isinstance(f, Not):
         out = _plan(f.sub, not pol, memo)
     elif isinstance(f, (Forall, Exists)):
         p, free = _plan(f.body, pol, memo)
@@ -166,15 +167,15 @@ def _atom_node(f: Atom, env: dict[str, int], pol: bool, sig: Signature, var):
 def _fold(f: Formula, env: dict[str, int], pol: bool, sig: Signature, var, memo: dict):
     """Quantifier-free f under env and polarity as a node: a bool, a
     literal, or ("and" | "or", kids).  memo holds the node for each
-    (id(g), pol) of a non-atom g already folded under env."""
-    if isinstance(f, Atom):
-        return _atom_node(f, env, pol, sig, var)
-    if isinstance(f, Eq):
-        return (env[f.left] == env[f.right]) == pol
+    (id(g), pol) of a g already folded under env."""
     node = memo.get((id(f), pol))
     if node is not None:
         return node
-    if isinstance(f, Not):
+    if isinstance(f, Atom):
+        node = _atom_node(f, env, pol, sig, var)
+    elif isinstance(f, Eq):
+        node = (env[f.left] == env[f.right]) == pol
+    elif isinstance(f, Not):
         node = _fold(f.sub, env, not pol, sig, var, memo)
     elif isinstance(f, (And, Or)):
         kids = (_fold(s, env, pol, sig, var, memo) for s in f.subs)
@@ -288,7 +289,7 @@ class GroundEngine:
                 for key, v in self.var_of.items()
                 if key[0] != "u" or key[1] in base.sig.unary
             )
-        # The solver takes the clause lists over and empties self.clauses.
+        # The solver branches on atoms only, and empties self.clauses.
         cdcl = CDCL(self.n_vars, self.clauses, self.var_of.values())
         assignment = cdcl.solve(node_limit)
         if assignment is None:

@@ -25,6 +25,7 @@ from finsat.logic import (
     PreconditionError,
     Signature,
     Structure,
+    VerificationFailure,
     evaluate,
     subformulas,
 )
@@ -381,23 +382,54 @@ def test_a_shared_formula_grounds_like_an_unshared_copy():
 def test_grounding_reads_each_shared_subformula_once(monkeypatch):
     res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
     phi = res.snf.to_formula()
-    calls = 0
-    atom_node = ground._atom_node
+    folds = 0
+    read = set()  # (atom, polarity) pairs the current _compile has read
+    fold, atom_node, compile_ = ground._fold, ground._atom_node, ground._compile
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return atom_node(*args)
+    def counted_fold(*args):
+        nonlocal folds
+        folds += 1
+        return fold(*args)
 
-    monkeypatch.setattr(ground, "_atom_node", counted)
+    def read_once(f, env, pol, *rest):
+        assert (id(f), pol) not in read, f"{f} read twice in one compile"
+        read.add((id(f), pol))
+        return atom_node(f, env, pol, *rest)
+
+    def compile_afresh(*args):
+        read.clear()
+        return compile_(*args)
+
+    monkeypatch.setattr(ground, "_fold", counted_fold)
+    monkeypatch.setattr(ground, "_atom_node", read_once)
+    monkeypatch.setattr(ground, "_compile", compile_afresh)
     seen = []
     for f in (phi, _unshared(phi)):
-        calls = 0
+        folds = 0
         assert GroundEngine(f, res.sig_hat).encode(2)
-        seen.append(calls)
+        seen.append(folds)
     # Atoms stay shared in the copy, so only the memo on negations and
-    # connectives tells the two apart: 3,201 calls against 12,224.
-    assert 3 * seen[0] <= seen[1]
+    # connectives tells the two apart: 8,774 folds against 20,871.
+    assert 2 * seen[0] <= seen[1]
+
+
+def test_grounded_search_branches_on_atoms_only(monkeypatch):
+    res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
+    solvers = []
+
+    class Recorded(CDCL):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(ground, "CDCL", Recorded)
+    engine = GroundEngine(res.snf.to_formula(), res.sig_hat)
+    for k in (2, 3):
+        assert engine.run(k, 10**6) is None
+    # Branching on gate variables too took 1,263 and 2,215 decisions;
+    # branching on atoms only takes 25 and 69.
+    decisions = [s.decisions for s in solvers]
+    assert len(decisions) == 2 and max(decisions) <= 200, decisions
 
 
 def _random_3cnf(seed: int) -> tuple[int, list[list[int]]]:
@@ -422,10 +454,10 @@ def _pigeonhole(pigeons: int, holes: int) -> tuple[int, list[list[int]]]:
     return pigeons * holes, clauses
 
 
-def _cdcl(n_vars, clauses, node_limit=10**6):
+def _cdcl(n_vars, clauses, node_limit=10**6, branch_on=None):
     """The solver's answer, with any assignment checked against the
     clauses (the solver takes its input over, so it gets copies)."""
-    assignment = CDCL(n_vars, [list(c) for c in clauses]).solve(node_limit)
+    assignment = CDCL(n_vars, [list(c) for c in clauses], branch_on).solve(node_limit)
     if assignment is not None:
         assert all(any(assignment[lit] == 1 for lit in c) for c in clauses)
     return assignment
@@ -446,6 +478,42 @@ def test_cdcl_refutes_pigeonhole():
     cdcl = CDCL(*_pigeonhole(7, 6))
     assert cdcl.solve(10**6) is None
     assert cdcl.conflicts > 2 * CDCL.RESTART_UNIT  # so it has restarted
+
+
+def _circuit(seed: int) -> tuple[int, int, list[list[int]]]:
+    """A random circuit as a Tseitin CNF: inputs 1..n_in, then gates, each
+    the two-sided definition of an "and" or "or" of earlier literals, then
+    a few random clauses over the gates.  Returns (n_in, n_vars, clauses)."""
+    rng = random.Random(seed)
+    n_in, n_vars = rng.randint(3, 6), rng.randint(9, 15)
+    clauses = []
+    for z in range(n_in + 1, n_vars + 1):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, z), rng.randint(2, 3))]
+        if rng.random() < 0.5:  # z is the "or" of lits: -z is the "and" of their negations
+            z, lits = -z, [-lit for lit in lits]
+        clauses += [[-z, lit] for lit in lits]
+        clauses.append([z] + [-lit for lit in lits])
+    gates = range(n_in + 1, n_vars + 1)
+    for _ in range(rng.randint(1, 4)):
+        clauses.append([v if rng.random() < 0.5 else -v for v in rng.sample(gates, rng.randint(1, 3))])
+    return n_in, n_vars, clauses
+
+
+def test_cdcl_branching_on_inputs_only_is_complete():
+    answers = set()
+    for seed in range(300):
+        n_in, n_vars, clauses = _circuit(seed)
+        sat = _cdcl(n_vars, clauses, branch_on=range(1, n_in + 1)) is not None
+        assert sat == cnf_satisfiable(n_vars, clauses), f"seed {seed}"
+        answers.add(sat)
+    assert answers == {True, False}
+
+
+def test_cdcl_refuses_a_variable_nothing_fixes():
+    # 3 <-> (1 & 2) is fixed once 1 and 2 are; 3 <- (1 & 2) alone is not.
+    assert CDCL(3, [[-3, 1], [-3, 2], [3, -1, -2]], [1, 2]).solve(10) is not None
+    with pytest.raises(VerificationFailure, match="not branched on"):
+        CDCL(3, [[3, -1, -2]], [1, 2]).solve(10)
 
 
 def test_cdcl_budget_counts_decisions():
