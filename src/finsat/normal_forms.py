@@ -4,6 +4,10 @@ Standard and weak normal form for the two-variable fragment, compilation of
 unary partial-order formulas into the thirteen basic shapes, and the
 transitive normal form that confines the distinguished relation of a
 transitive signature to its four derived order relations.
+
+conjunct_parts owns the shapes of top-level conjuncts: it alone decides
+which conjunct translates directly into unary, pair, witness or existential
+parts, for to_standard_nf here and for the typed engine in solver.py.
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ class _Parts:
         self.fresh: list[str] = []
 
     def add_eta_pair(self, f: Formula) -> None:
-        self.eta.append(simplify(strip_distinct_eq(f)))
+        self.eta.append(_distinct(f))
 
     def add_eta_unary(self, f: Formula) -> None:
         # Ax zeta(x) is equivalent to AxAy(x=y | zeta(x)) over domains of
@@ -227,7 +231,17 @@ class _Parts:
         self.eta.append(simplify(f))
 
     def add_theta(self, f: Formula) -> None:
-        self.thetas.append(simplify(strip_distinct_eq(f)))
+        self.thetas.append(_distinct(f))
+
+
+def _distinct(f: Formula) -> Formula:
+    """f read on distinct x and y only, simplified."""
+    return simplify(strip_distinct_eq(f))
+
+
+def _rename(f: Formula, u: str, v: str) -> Formula:
+    """f with free u renamed to v; f itself when they are the same."""
+    return f if u == v else substitute(f, {u: v})
 
 
 def _orient(f: Formula, u: str, v: str) -> Formula:
@@ -303,87 +317,60 @@ def _innermost_quantified(f: Formula, binder: Optional[str] = None):
     raise LogicError(f"bad formula node {f!r}")
 
 
-def _translate_simple(g: Formula, parts: _Parts) -> bool:
-    """Direct translations for the common top-level conjunct shapes."""
+def conjunct_parts(g: Formula) -> Optional[list[tuple[str, Formula]]]:
+    """The direct normal-form translation of one top-level conjunct, or None
+    when its shape needs fresh definitions.
+
+    Each part is ("unary", f) for Ax f(x), ("pair", f) for AxAy(x=y | f),
+    ("witness", f) for AxEy(x!=y & f) or ("exists", f) for Ex f(x).  Every
+    f but an "exists" one is simplified and free of x = y atoms.  This is
+    the one classifier of conjunct shapes: to_standard_nf and the typed
+    engine both read it.
+    """
     g = simplify(g)
     if is_quantifier_free(g):
         # Any remaining free variables stem from uniform marker predicates,
         # so quantifying them universally is harmless.
-        parts.add_eta_pair(g)
-        return True
-    if isinstance(g, Forall):
-        u, body = g.var, simplify(g.body)
-        if is_quantifier_free(body):
-            parts.add_eta_unary(
-                strip_distinct_eq(substitute(body, {u: "x"}))
-                if u != "x"
-                else strip_distinct_eq(body)
-            )
-            return True
+        return [("unary" if free_vars(g) <= {"x"} else "pair", _distinct(g))]
+    if isinstance(g, Exists):
+        body = simplify(g.body)
+        return [("exists", _rename(body, g.var, "x"))] if is_quantifier_free(body) else None
+    if not isinstance(g, Forall):
+        return None
+    u, body = g.var, simplify(g.body)
+    if is_quantifier_free(body):
+        return [("unary", _distinct(_rename(body, u, "x")))]
+    if isinstance(body, (Forall, Exists)) and is_quantifier_free(body.body):
+        if body.var == u:
+            return conjunct_parts(body)
+        oriented = _orient(body.body, u, body.var)
         if isinstance(body, Forall):
-            v, inner = body.var, body.body
-            if not is_quantifier_free(inner):
-                return False
-            if v == u:
-                return _translate_simple(Forall(v, inner), parts)
-            oriented = _orient(inner, u, v)
             # x = y disjuncts are the normal-form guard; the diagonal
             # instance is covered separately otherwise.
-            if isinstance(oriented, Or) and any(
-                isinstance(s, Eq) for s in oriented.subs
-            ):
+            if isinstance(oriented, Or) and any(isinstance(s, Eq) for s in oriented.subs):
                 rest = disj(tuple(s for s in oriented.subs if not isinstance(s, Eq)))
-                parts.add_eta_pair(rest)
-            else:
-                parts.add_eta_pair(oriented)
-                parts.add_eta_unary(simplify(substitute(oriented, {"y": "x"})))
-            return True
-        if isinstance(body, Exists):
-            v, inner = body.var, body.body
-            if not is_quantifier_free(inner):
-                return False
-            if v == u:
-                return _translate_simple(Exists(v, inner), parts)
-            oriented = _orient(inner, u, v)
-            if isinstance(oriented, And) and any(
-                s == neg(Eq("x", "y")) or s == neg(Eq("y", "x")) for s in oriented.subs
-            ):
-                rest = conj(
-                    tuple(
-                        s
-                        for s in oriented.subs
-                        if s != neg(Eq("x", "y")) and s != neg(Eq("y", "x"))
-                    )
-                )
-                parts.add_theta(rest)
-            else:
-                self_wit = simplify(substitute(oriented, {"y": "x"}))
-                parts.add_theta(Or((strip_distinct_eq(oriented), self_wit)))
-            return True
-        hit = _find_single_positive_exists(body)
-        if hit not in (None, "qf") and hit[1]:
-            ex = hit[0]
-            v, chi = ex.var, ex.body
-            if v != u:
-                marker = Atom("_hole_", ())
-                ctx = _replace_subformula(body, ex, marker)
-                if is_quantifier_free(_replace_subformula(ctx, marker, TRUE)):
-                    ctx_xy = _orient(ctx, u, v)
-                    chi_xy = _orient(chi, u, v)
-                    chi_self = simplify(substitute(chi_xy, {"y": "x"}))
-                    parts.add_theta(
-                        _replace_subformula(ctx_xy, marker, Or((chi_xy, chi_self)))
-                    )
-                    return True
-        return False
-    if isinstance(g, Exists):
-        u, body = g.var, simplify(g.body)
-        if is_quantifier_free(body):
-            zeta = substitute(body, {u: "x"}) if u != "x" else body
-            parts.add_theta(Or((zeta, substitute(zeta, {"x": "y"}))))
-            return True
-        return False
-    return False
+                return [("pair", _distinct(rest))]
+            return [
+                ("pair", _distinct(oriented)),
+                ("unary", simplify(substitute(oriented, {"y": "x"}))),
+            ]
+        distinct = (neg(Eq("x", "y")), neg(Eq("y", "x")))
+        if isinstance(oriented, And) and any(s in distinct for s in oriented.subs):
+            return [("witness", _distinct(conj(tuple(s for s in oriented.subs if s not in distinct))))]
+        self_wit = simplify(substitute(oriented, {"y": "x"}))
+        return [("witness", _distinct(Or((strip_distinct_eq(oriented), self_wit))))]
+    hit = _find_single_positive_exists(body)
+    if hit in (None, "qf") or not hit[1] or hit[0].var == u:
+        return None
+    ex = hit[0]
+    marker = Atom("_hole_", ())
+    ctx = _replace_subformula(body, ex, marker)
+    if not is_quantifier_free(_replace_subformula(ctx, marker, TRUE)):
+        return None
+    chi_xy = _orient(ex.body, u, ex.var)
+    chi_self = simplify(substitute(chi_xy, {"y": "x"}))
+    ctx_xy = _orient(ctx, u, ex.var)
+    return [("witness", _distinct(_replace_subformula(ctx_xy, marker, Or((chi_xy, chi_self)))))]
 
 
 def _scott_conjunct(g: Formula, sig_taken: set[str], parts: _Parts) -> None:
@@ -400,7 +387,13 @@ def _scott_conjunct(g: Formula, sig_taken: set[str], parts: _Parts) -> None:
         return name
 
     while True:
-        if _translate_simple(g, parts):
+        found = conjunct_parts(g)
+        if found is not None:
+            for kind, f in found:
+                if kind == "exists":
+                    parts.add_theta(Or((f, substitute(f, {"x": "y"}))))
+                else:
+                    (parts.thetas if kind == "witness" else parts.eta).append(f)
             return
         hit = _innermost_quantified(g)
         if hit is None:
@@ -416,7 +409,7 @@ def _scott_conjunct(g: Formula, sig_taken: set[str], parts: _Parts) -> None:
         if fv and u != v:
             chi_xy = _orient(chi, u, v)
         else:
-            chi_xy = substitute(chi, {v: "y"}) if v != "y" else chi
+            chi_xy = _rename(chi, v, "y")
         chi_self = simplify(substitute(chi_xy, {"y": "x"}))
         if not fv:
             # Closed subformula: force the marker to be uniform.

@@ -14,8 +14,12 @@ elimination and the clique reduction.  Every model found is re-verified
 with evaluate before it is returned.  smallest_model tries sizes
 2..max_size in order.
 
-The grounded engine is in ground.py.  SearchBudget.node_limit bounds the
-typed engine's nodes and the solver's decisions, per size searched.
+The typed engine takes its universal, witness and existential parts from
+normal_forms.conjunct_parts, as to_standard_nf does; _decompose adds only
+two steps of its own, quantifier hoisting and the split of a universal over
+a conjunction.  The grounded engine is in ground.py.  SearchBudget.node_limit
+bounds the typed engine's nodes and the solver's decisions, per size
+searched.
 """
 
 from __future__ import annotations
@@ -56,17 +60,11 @@ from .logic import (
     neg,
     rewrite,
     simplify,
-    substitute,
     subformulas,
 )
 from .factorization import transitive_closure
 from .ground import GroundEngine
-from .normal_forms import (
-    _find_single_positive_exists,
-    _orient,
-    _replace_subformula,
-    strip_distinct_eq,
-)
+from .normal_forms import conjunct_parts
 
 
 @dataclass(frozen=True)
@@ -110,11 +108,6 @@ class DecisionOutcome:
         return DecisionOutcome("unknown", report=report)
 
 
-# ---------------------------------------------------------------------------
-# Conjunct shape analysis shared by the typed engine
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class _Shape:
     universal1: list[Formula] = field(default_factory=list)
@@ -134,108 +127,38 @@ def _push_body(body: Formula) -> Formula:
     return body
 
 
-def _dec_conjunct(g: Formula, shape: _Shape) -> None:
-    g = simplify(g)
-    if is_quantifier_free(g):
-        fv = free_vars(g)
-        if fv <= {"x"}:
-            shape.universal1.append(g)
-        elif fv == {"y"}:
-            shape.universal1.append(substitute(g, {"y": "x"}))
-        else:
-            shape.universal2.append(strip_distinct_eq(g))
-            shape.universal1.append(simplify(substitute(g, {"y": "x"})))
-        return
-    if isinstance(g, Forall):
-        u, body = g.var, _push_body(simplify(g.body))
-        if is_quantifier_free(body):
-            shape.universal1.append(
-                substitute(body, {u: "x"}) if u != "x" else body
-            )
-            return
-        if isinstance(body, And):
-            for s in body.subs:
-                _dec_conjunct(Forall(u, s), shape)
-            return
-        if isinstance(body, Forall):
-            v, inner = body.var, body.body
-            if v == u:
-                _dec_conjunct(Forall(v, inner), shape)
-                return
-            if is_quantifier_free(inner):
-                oriented = _orient(inner, u, v)
-                if isinstance(oriented, Or) and any(
-                    isinstance(s, Eq) for s in oriented.subs
-                ):
-                    rest = tuple(s for s in oriented.subs if not isinstance(s, Eq))
-                    shape.universal2.append(
-                        simplify(strip_distinct_eq(rest[0] if len(rest) == 1 else Or(rest)))
-                    )
-                else:
-                    shape.universal2.append(simplify(strip_distinct_eq(oriented)))
-                    shape.universal1.append(simplify(substitute(oriented, {"y": "x"})))
-                return
-        if isinstance(body, Exists):
-            v, inner = body.var, body.body
-            if v == u:
-                _dec_conjunct(Exists(v, inner), shape)
-                return
-            if is_quantifier_free(inner):
-                oriented = _orient(inner, u, v)
-                if isinstance(oriented, And) and any(
-                    s == neg(Eq("x", "y")) or s == neg(Eq("y", "x"))
-                    for s in oriented.subs
-                ):
-                    rest = tuple(
-                        s
-                        for s in oriented.subs
-                        if s != neg(Eq("x", "y")) and s != neg(Eq("y", "x"))
-                    )
-                    shape.thetas.append(
-                        simplify(strip_distinct_eq(conj(rest)))
-                    )
-                else:
-                    self_wit = simplify(substitute(oriented, {"y": "x"}))
-                    shape.thetas.append(
-                        simplify(Or((strip_distinct_eq(oriented), self_wit)))
-                    )
-                return
-        hit = _find_single_positive_exists(body)
-        if hit not in (None, "qf") and hit[1]:
-            ex = hit[0]
-            v = ex.var
-            if v != u:
-                marker = Atom("_hole_", ())
-                ctx = _replace_subformula(body, ex, marker)
-                if is_quantifier_free(_replace_subformula(ctx, marker, TRUE)):
-                    ctx_xy = _orient(ctx, u, v)
-                    chi_xy = _orient(ex.body, u, v)
-                    chi_self = simplify(substitute(chi_xy, {"y": "x"}))
-                    shape.thetas.append(
-                        simplify(
-                            strip_distinct_eq(
-                                _replace_subformula(
-                                    ctx_xy, marker, Or((chi_xy, chi_self))
-                                )
-                            )
-                        )
-                    )
-                    return
-        shape.residual.append(g)
-        return
-    if isinstance(g, Exists):
-        u, body = g.var, simplify(g.body)
-        if is_quantifier_free(body):
-            shape.exist1.append(substitute(body, {u: "x"}) if u != "x" else body)
-            return
-    shape.residual.append(g)
-
-
 def _decompose(phi: Formula) -> _Shape:
+    """phi's conjuncts as the typed engine's parts, shaped by conjunct_parts;
+    a conjunct of no direct shape is residual.  Two steps are the typed
+    engine's own: under a universal, _push_body hoists a quantifier, and
+    Forall u (A & B) with a quantified body is split into its conjuncts."""
     shape = _Shape()
+    lists = {
+        "unary": shape.universal1,
+        "pair": shape.universal2,
+        "witness": shape.thetas,
+        "exists": shape.exist1,
+    }
+
+    def add(g: Formula) -> None:
+        g = simplify(g)
+        shaped = g
+        if isinstance(g, Forall):
+            body = _push_body(simplify(g.body))
+            if isinstance(body, And) and not is_quantifier_free(body):
+                for s in body.subs:
+                    add(Forall(g.var, s))
+                return
+            shaped = Forall(g.var, body)
+        parts = conjunct_parts(shaped)
+        if parts is None:
+            shape.residual.append(g)
+        for kind, f in parts or ():
+            lists[kind].append(f)
+
     phi = simplify(phi)
     for g in phi.subs if isinstance(phi, And) else (phi,):
-        _dec_conjunct(g, shape)
+        add(g)
     return shape
 
 

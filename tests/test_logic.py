@@ -335,6 +335,27 @@ NOT_BRANCHES = {
 }
 
 
+#: (importing module, imported module, name) of the one private name a
+#: module of src/finsat may import from another.  StandardNF.holds calls
+#: logic._tarski to skip evaluate's free-variable walk, because its matrices
+#: are checked closed at construction: on the clique-level sentence the
+#: free-variable walk costs 106 ms against 44 ms for the truth walk itself.
+PRIVATE_IMPORTS = {("normal_forms", "logic", "_tarski")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "finsat"
+    found = {
+        (path.stem, node.module.rpartition(".")[2], alias.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found - PRIVATE_IMPORTS == set(), "import a public name, or move the function to its caller"
+
+
 def _tests_for_not(node: ast.AST) -> bool:
     """isinstance(_, Not), or an is/== comparison against Not, as in
     type(_) is Not, type(_) == Not or t is Not."""

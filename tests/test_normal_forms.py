@@ -29,6 +29,7 @@ from finsat.normal_forms import (
     TransitiveNF,
     WeakNF,
     basic_set_formula,
+    conjunct_parts,
     fc_subset,
     strip_distinct_eq,
     to_basic,
@@ -55,6 +56,34 @@ def test_exists_unary_direct_translation():
     assert snf.multiplicity == 1
     assert print_formula(snf.thetas[0]) == "p(x) | p(y)"
     assert sig2 == L2
+
+
+#: One top-level conjunct per shape, and its parts as conjunct_parts prints
+#: them; None where the shape needs fresh definitions.
+CONJUNCT_SHAPES = [
+    # Quantifier-free: a closed one reads as unary, one with y free as a pair.
+    (FALSE, [("unary", "false")]),
+    (Or((Atom("r", ("x", "y")), Eq("x", "y"))), [("pair", "r(x, y)")]),
+    ("forall y (p(y) | q(y))", [("unary", "p(x) | q(x)")]),
+    ("forall x forall y (x = y | r(x,y))", [("pair", "r(x, y)")]),
+    # Without the x = y guard the diagonal instance is a unary part.
+    ("forall y forall x r(x,y)", [("pair", "r(y, x)"), ("unary", "r(x, x)")]),
+    ("forall x exists y (x != y & r(x,y))", [("witness", "r(x, y)")]),
+    # Without x != y the element may be its own witness.
+    ("forall x exists y r(x,y)", [("witness", "r(x, y) | r(x, x)")]),
+    ("forall x (p(x) -> exists y r(x,y))", [("witness", "p(x) -> r(x, y) | r(x, x)")]),
+    ("exists y (p(y) & !q(y))", [("exists", "p(x) & !q(x)")]),
+    ("exists x forall y r(x,y)", None),
+    # Two positive existentials, and a quantifier in a consequent.
+    ("forall x (exists y r(x,y) & exists y r(y,x))", None),
+    ("forall x (p(x) -> forall y r(x,y))", None),
+]
+
+
+@pytest.mark.parametrize("g, parts", CONJUNCT_SHAPES)
+def test_conjunct_parts_one_input_per_shape(g, parts):
+    got = conjunct_parts(parse_formula(g, L2) if isinstance(g, str) else g)
+    assert (got if got is None else [(kind, print_formula(f)) for kind, f in got]) == parts
 
 
 def test_forall_unary_direct_translation():

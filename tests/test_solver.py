@@ -29,8 +29,8 @@ from finsat.logic import (
     evaluate,
     subformulas,
 )
-from finsat.normal_forms import to_standard_nf
-from finsat.parsing import parse_formula
+from finsat.normal_forms import conjunct_parts, to_standard_nf
+from finsat.parsing import parse_formula, print_formula
 from finsat.solver import (
     BudgetExceeded,
     SearchBudget,
@@ -40,6 +40,7 @@ from finsat.solver import (
     random_formula,
     random_structure,
     smallest_model,
+    _decompose,
     _engine,
     _subst_t_top,
 )
@@ -329,6 +330,23 @@ def test_separate_copies_of_a_formula_share_every_variable():
         assert a.encode(k) and b.encode(k)
         assert a.n_vars > len(a.var_of)  # so there are gates to share
         assert b.n_vars == a.n_vars
+
+
+def test_typed_parts_hoist_and_split_what_conjunct_parts_leaves():
+    sig = Signature(("p",), ("r",), DistKind.NONE)
+
+    def parts(text):
+        shape = _decompose(parse_formula(text, sig))
+        return {k: [print_formula(f) for f in v] for k, v in vars(shape).items() if v}
+
+    # Both inputs have no direct shape; the typed engine's own two steps
+    # give them one.
+    hoisted, split = "forall x (p(x) -> forall y r(x,y))", "forall x (exists y r(x,y) & exists y r(y,x))"
+    assert conjunct_parts(parse_formula(hoisted, sig)) is None
+    assert parts(hoisted) == {"universal1": ["p(x) -> r(x, x)"], "universal2": ["p(x) -> r(x, y)"]}
+    assert conjunct_parts(parse_formula(split, sig)) is None
+    assert parts(split) == {"thetas": ["r(x, y) | r(x, x)", "r(y, x) | r(x, x)"]}
+    assert parts("exists x forall y r(x,y)") == {"residual": ["exists x forall y r(x, y)"]}
 
 
 def test_grounded_engine_refuses_a_free_variable():
