@@ -594,13 +594,14 @@ def evaluate(
     missing = free_vars(f) - env.keys()
     if missing:
         raise PreconditionError(f"unassigned free variables {sorted(missing)}")
-    return _tarski(s, env)(f)
+    return tarski(s, env)(f)
 
 
-def _tarski(s: Structure, env: dict[str, int]) -> Callable[[Formula], bool]:
+def tarski(s: Structure, env: dict[str, int]) -> Callable[[Formula], bool]:
     """The short-circuit truth walk over s, reading and binding variables
-    in env.  Callers check that env assigns every free variable of the
-    formulas they pass; evaluate does so on each call."""
+    in env.  Unchecked: the caller has checked that env assigns every free
+    variable of each formula it passes.  evaluate is the checked entry
+    point; a caller that reads fixed formulas often checks them once."""
     table = _Extensions(s)
     dom = s.domain()
 
@@ -871,8 +872,3 @@ def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
 def pair_structure(tau: TwoType) -> Structure:
     """The canonical 2-element structure realizing tau on the pair (0, 1)."""
     return _realize(tau.sig, (tau.x, tau.y), tau.cross + (tau.nav,))
-
-
-def eval_on_pair_type(f: Formula, tau: TwoType) -> bool:
-    """Truth of a quantifier-free two-variable formula on a 2-type."""
-    return evaluate(pair_structure(tau), f, {"x": 0, "y": 1})

@@ -37,7 +37,6 @@ from .logic import (
     Signature,
     Structure,
     TRUE,
-    _tarski,
     atom,
     conj,
     disj,
@@ -52,6 +51,7 @@ from .logic import (
     substitute,
     swap_xy,
     t_rel,
+    tarski,
 )
 
 S_ORDER = ("eq", "lt", "gt", "sim")
@@ -167,7 +167,7 @@ class StandardNF:
         """Truth of the sentence in s.  Construction has checked that the
         matrices mention only x and y, so the sentence is closed and
         evaluate's free-variable walk is skipped."""
-        return _tarski(s, {})(self.to_formula())
+        return tarski(s, {})(self.to_formula())
 
     def to_weak(self) -> "WeakNF":
         return WeakNF((), self.eta, self.thetas)

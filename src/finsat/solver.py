@@ -7,12 +7,13 @@ permutation symmetry while staying exhaustive up to isomorphism) and then
 2-types to pairs, propagating the distinguished relation's constraints and
 filtering against the universal part pair by pair; it enumerates every pair
 alternative directly, so it takes only signatures with few 1-types and few
-pair alternatives.  The grounded engine translates the formula and the
-distinguished relation's axioms into propositional clauses over the fixed
-domain; it takes every wider signature, such as those produced by binary
-elimination and the clique reduction.  Every model found is re-verified
-with evaluate before it is returned.  smallest_model tries sizes
-2..max_size in order.
+pair alternatives.  Its pair tables read each candidate 2-type both ways on
+one 2-element structure, with formulas checked once per engine.  The grounded
+engine translates the formula and the distinguished relation's axioms into
+propositional clauses over the fixed domain; it takes every wider signature,
+such as those produced by binary elimination and the clique reduction.  Every
+model found is re-verified with evaluate before it is returned.
+smallest_model tries sizes 2..max_size in order.
 
 The typed engine takes its universal, witness and existential parts from
 normal_forms.conjunct_parts, as to_standard_nf does; _decompose adds only
@@ -52,15 +53,16 @@ from .logic import (
     VerificationFailure,
     conj,
     enumerate_nav,
-    eval_on_pair_type,
     eval_unary_on_type,
     evaluate,
     free_vars,
     is_quantifier_free,
     neg,
+    pair_structure,
     rewrite,
     simplify,
     subformulas,
+    tarski,
 )
 from .factorization import transitive_closure
 from .ground import GroundEngine
@@ -209,6 +211,12 @@ class _TypedEngine:
     on the domain size, so one engine serves every size searched."""
 
     def __init__(self, phi: Formula, sig: Signature, use: _Usage, shape: _Shape) -> None:
+        self.u2 = conj(tuple(shape.universal2))
+        # evaluate's check, made once: phi is closed, and the pair tables
+        # read u2 and the thetas unchecked, at x and y.
+        free = free_vars(phi).union(*(free_vars(g) - {"x", "y"} for g in (self.u2, *shape.thetas)))
+        if free:
+            raise PreconditionError(f"unassigned free variables {sorted(free)}")
         self.phi = phi
         self.sig = sig
         self.shape = shape
@@ -230,7 +238,6 @@ class _TypedEngine:
             tp = OneType(sig, bits)
             if all(eval_unary_on_type(g, tp) for g in u1):
                 self.types.append(tp)
-        self.u2 = conj(tuple(self.shape.universal2))
         self.exist_ok = [
             [eval_unary_on_type(g, tp) for tp in self.types]
             for g in self.shape.exist1
@@ -256,36 +263,33 @@ class _TypedEngine:
         Every alternative of the active cross and navigation bits is
         enumerated and kept if the universal part holds in both
         orientations; _engine sends signatures with more alternatives
-        than this can afford to the grounded engine."""
+        than this can afford to the grounded engine.  Each alternative tau
+        is read on one pair_structure, at (0, 1) for tau and at (1, 0) for
+        tau.swap(); the universal part is read first, so a rejected tau
+        costs no witness reads."""
         hit = self._pair_cache.get((ti, tj))
         if hit is not None:
             return hit
         tx, ty = self.types[ti], self.types[tj]
-        taus = []
         # Without an order atom the distinguished relation stays empty
         # between distinct elements.
         use = self.usage
         navs = enumerate_nav(self.sig, tx, ty) if use.nav or use.t_cross else ((False, False),)
+        entries = []
         for cross in itertools.product(*self._cross_choices()):
             for nav in navs:
                 tau = TwoType(self.sig, tx, ty, cross, nav)
-                if self.shape.universal2 and not (
-                    eval_on_pair_type(self.u2, tau)
-                    and eval_on_pair_type(self.u2, tau.swap())
-                ):
+                s = pair_structure(tau)
+                xy, yx = tarski(s, {"x": 0, "y": 1}), tarski(s, {"x": 1, "y": 0})
+                if not (xy(self.u2) and yx(self.u2)):
                     continue
-                taus.append(tau)
-        entries = []
-        for tau in taus:
-            fwd = 0
-            bwd = 0
-            swapped = tau.swap()
-            for h, th in enumerate(self.shape.thetas):
-                if eval_on_pair_type(th, tau):
-                    fwd |= 1 << h
-                if eval_on_pair_type(th, swapped):
-                    bwd |= 1 << h
-            entries.append((tau, fwd, bwd))
+                fwd = bwd = 0
+                for h, th in enumerate(self.shape.thetas):
+                    if xy(th):
+                        fwd |= 1 << h
+                    if yx(th):
+                        bwd |= 1 << h
+                entries.append((tau, fwd, bwd))
         self._pair_cache[(ti, tj)] = entries
         return entries
 

@@ -36,6 +36,7 @@ from finsat.logic import (
     subformulas,
     substitute,
     swap_xy,
+    tarski,
     two_type_of,
 )
 from finsat.parsing import parse_formula
@@ -177,12 +178,23 @@ def test_mutual_t_forces_diagonals():
 @pytest.mark.parametrize("dist", list(DistKind), ids=lambda d: d.value)
 def test_a_two_type_is_the_pair_of_distinguished_bits(dist):
     sig = Signature(("p",), ("r",), dist)
+    texts = ["p(x) & !p(y)", "r(x,y) & !r(y,x)", "r(x,x) | r(y,y) & x != y", "p(y) -> r(y,x)"]
+    texts += {
+        DistKind.NONE: [],
+        DistKind.PARTIAL_ORDER: ["x < y", "y < x | p(x)", "x ~ y"],
+        DistKind.TRANSITIVE: ["t(x,y)", "t(y,x) & t(x,x) | p(x)"],
+    }[dist]
+    formulas = [parse_formula(text, sig) for text in texts]
     seen = set()
     for semi in enumerate_semi_diagonal_types(sig):
         for tau in semi.extensions():
             assert two_type_of(pair_structure(tau), 0, 1) == tau
             assert tau.swap().swap() == tau
             assert tau.swap() == two_type_of(pair_structure(tau), 1, 0)
+            # So reading tau's structure at (1, 0) reads tau.swap().
+            for f in formulas:
+                swapped = evaluate(pair_structure(tau.swap()), f, {"x": 0, "y": 1})
+                assert tarski(pair_structure(tau), {"x": 1, "y": 0})(f) == swapped
             seen.add(tau.nav)
     want = {
         DistKind.NONE: {(False, False)},
@@ -331,16 +343,14 @@ NOT_BRANCHES = {
     "_innermost_quantified",
     "_plan",
     "_print",
-    "_tarski.holds",
+    "tarski.holds",
 }
 
 
-#: (importing module, imported module, name) of the one private name a
-#: module of src/finsat may import from another.  StandardNF.holds calls
-#: logic._tarski to skip evaluate's free-variable walk, because its matrices
-#: are checked closed at construction: on the clique-level sentence the
-#: free-variable walk costs 106 ms against 44 ms for the truth walk itself.
-PRIVATE_IMPORTS = {("normal_forms", "logic", "_tarski")}
+#: (importing module, imported module, name) of each private name a module of
+#: src/finsat may import from another: none.  A name another module needs is
+#: public, with its contract in its docstring, as logic.tarski's is.
+PRIVATE_IMPORTS = set()
 
 
 def test_no_module_imports_another_modules_private_name():

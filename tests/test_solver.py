@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from finsat import ground
+from finsat import ground, logic, solver
 from finsat.cdcl import CDCL
 from finsat.cliques import EnumerationBudget, cliquify
 from finsat.ground import GroundEngine
@@ -26,10 +26,12 @@ from finsat.logic import (
     Signature,
     Structure,
     VerificationFailure,
+    enumerate_nav,
     evaluate,
+    pair_structure,
     subformulas,
 )
-from finsat.normal_forms import conjunct_parts, to_standard_nf
+from finsat.normal_forms import conjunct_parts, to_standard_nf, to_transitive_nf
 from finsat.parsing import parse_formula, print_formula
 from finsat.solver import (
     BudgetExceeded,
@@ -358,6 +360,45 @@ def test_grounded_engine_refuses_a_free_variable():
     sig = Signature(("p",), (), DistKind.TRANSITIVE)
     with pytest.raises(PreconditionError, match="unassigned free variables"):
         find_expansion(random_structure(0, T0, 2), parse_formula("exists x (p(x) & t(x,y))", sig), sig)
+    # The typed engine refuses it at construction, before any run.
+    plain = Signature(("p",), (), DistKind.NONE)
+    with pytest.raises(PreconditionError, match=r"unassigned free variables \['y'\]"):
+        _engine(parse_formula("exists x (p(x) & !p(y))", plain), plain, "typed")
+
+
+def test_pair_tables_read_each_two_type_on_one_structure(monkeypatch):
+    sig = Signature(("p",), (), DistKind.TRANSITIVE)
+    tnf, sig1 = to_transitive_nf(random_formula(3, sig, depth=2), sig)
+    engine = _engine(tnf.to_formula(), sig1, "typed")
+    types, thetas = engine.types, engine.shape.thetas
+    assert engine.shape.universal2 and thetas
+    built, walks = [], []
+    monkeypatch.setattr(solver, "pair_structure", lambda tau: built.append(tau) or pair_structure(tau))
+    for module in (solver, logic):
+        monkeypatch.setattr(module, "free_vars", lambda f: walks.append(f) or logic.free_vars(f))
+    pairs = list(itertools.product(range(len(types)), repeat=2))
+    kept = {tau: (fwd, bwd) for ti, tj in pairs for tau, fwd, bwd in engine._pair_entries(ti, tj)}
+    monkeypatch.undo()
+    # One structure per candidate 2-type, and no free-variable walk.
+    crosses = len(list(itertools.product(*engine._cross_choices())))
+    want = sum(crosses * len(enumerate_nav(sig1, types[ti], types[tj])) for ti, tj in pairs)
+    assert len(built) == len(set(built)) == want
+    assert walks == []
+
+    def reads(tau, f):
+        """f at (0, 1) on tau's structure and on tau.swap()'s."""
+        xy = {"x": 0, "y": 1}
+        return evaluate(pair_structure(tau), f, xy), evaluate(pair_structure(tau.swap()), f, xy)
+
+    for tau, masks in kept.items():
+        bits = [reads(tau, th) for th in thetas]
+        assert masks == tuple(sum(b[side] << h for h, b in enumerate(bits)) for side in (0, 1))
+    # The universal part decides which candidates are kept.  evaluate is
+    # slow, so this checks only the candidates of the first row that kept any.
+    row = next(iter(kept)).x
+    for tau in built:
+        if tau.x == row:
+            assert (tau in kept) == all(reads(tau, engine.u2))
 
 
 def _unshared(f):
