@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -368,21 +367,39 @@ def bound_cliques(s: Structure, tnf: TransitiveNF) -> Structure:
 
 @dataclass(frozen=True)
 class EnumerationBudget:
+    """Limits on the cell and diatom tables: at most max_unary unary
+    predicates, and at most max_diatoms diatoms, counted before any cell is
+    built.  pipeline_verify adds the 4m guard predicates of the transitive
+    normal form to max_unary unless given a budget."""
+
     max_unary: int = 2
-    max_size: int = 2
-    max_cells: int = 512
     max_diatoms: int = 8192
 
 
 def _check_budget(sig: Signature, n: int, budget: EnumerationBudget) -> None:
+    """Refuse the tables of cliques up to size n before building any: a
+    size-1 cell carries the distinguished relation either way, a size-s
+    cell has it total, and each ordered cell pair gives three order types
+    times every cross assignment of the ordinary binaries."""
     if n < 1:
         raise PreconditionError("clique size bound must be positive")
-    if len(sig.unary) > budget.max_unary or n > budget.max_size:
+    u, b = len(sig.unary), len(sig.binary)
+    if u > budget.max_unary:
         raise EnumerationBudgetError(
-            f"enumeration refused: {len(sig.unary)} unary predicates with clique "
-            f"bound {n} exceeds the configured budget "
-            f"({budget.max_unary} unary, bound {budget.max_size}); raise the "
-            "budget explicitly if this is intended"
+            f"enumeration refused: {u} unary predicates exceed the budget of "
+            f"{budget.max_unary}"
+        )
+    cells = {s: 2 ** (u * s + b * s * s) for s in range(1, n + 1)}
+    cells[1] *= 2
+    predicted = sum(
+        3 * ka * kb * 2 ** (2 * b * sa * sb)
+        for sa, ka in cells.items()
+        for sb, kb in cells.items()
+    )
+    if predicted > budget.max_diatoms:
+        raise EnumerationBudgetError(
+            f"diatom enumeration refused: {predicted} diatoms exceed the "
+            f"budget of {budget.max_diatoms}"
         )
 
 
@@ -427,10 +444,6 @@ def enumerate_cells(
             for unary in _unary_assignments(sig, size):
                 for binary in _binary_assignments(sig, all_pairs):
                     out.append(Structure(sig, size, unary, binary, dist))
-                    if len(out) > budget.max_cells:
-                        raise EnumerationBudgetError(
-                            f"cell enumeration exceeded {budget.max_cells}"
-                        )
     if len(out) < 2:
         raise VerificationFailure("cell enumeration is impossibly small")
     return tuple(out)
@@ -508,21 +521,7 @@ def enumerate_diatoms(
 ) -> DiatomTable:
     """All labelled two-clique structures built from cell pairs, an order
     type and (when ordinary binaries exist) all cross assignments."""
-    budget = budget or EnumerationBudget()
     cells = enumerate_cells(sig, n, budget)
-    # Each ordered cell pair gives three order types, times every cross
-    # assignment of the ordinary binaries; refuse before building any.
-    sizes = Counter(c.size for c in cells)
-    predicted = sum(
-        3 * ka * kb * 2 ** (2 * len(sig.binary) * a * b)
-        for a, ka in sizes.items()
-        for b, kb in sizes.items()
-    )
-    if predicted > budget.max_diatoms:
-        raise EnumerationBudgetError(
-            f"diatom enumeration refused: {predicted} diatoms exceed the "
-            f"budget of {budget.max_diatoms}"
-        )
     diatoms: list[Structure] = []
     lefts: list[int] = []
     rights: list[int] = []

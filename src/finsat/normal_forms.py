@@ -56,10 +56,6 @@ from .logic import (
 
 S_ORDER = ("eq", "lt", "gt", "sim")
 
-#: to_basic enumerates all 1-types of its output signature: at most 2**10.
-MAX_BASIC_UNARY = 10
-
-
 def fresh_names(sig: Signature, base: str, count: int) -> tuple[str, ...]:
     """Deterministic fresh unary predicate names avoiding sig."""
     taken = set(sig.unary) | set(sig.binary)
@@ -602,6 +598,24 @@ def _eval_literals(
     return rewrite(f, fn)
 
 
+#: Universal-shape kinds per set of directions the instantiated universal
+#: constraint allows: (kind for alpha = beta, kind for alpha != beta, and
+#: whether that kind reads the pair as (beta, alpha)).  The set of all
+#: three directions constrains nothing and is absent.
+_UNIVERSAL_SHAPES = {
+    frozenset(): (BasicKind.B1A, BasicKind.B1B, False),
+    frozenset({"sim"}): (BasicKind.B2A, BasicKind.B2B, False),
+    frozenset({"lt"}): (BasicKind.B1A, BasicKind.B3, False),
+    frozenset({"gt"}): (BasicKind.B1A, BasicKind.B3, True),
+    frozenset({"lt", "sim"}): (BasicKind.B2A, BasicKind.B4, False),
+    frozenset({"gt", "sim"}): (BasicKind.B2A, BasicKind.B4, True),
+    frozenset({"lt", "gt"}): (BasicKind.B5A, BasicKind.B5B, False),
+}
+
+#: to_basic refuses to build more basic formulas than this.
+MAX_BASIC_FORMULAS = 32_768
+
+
 def to_basic(
     w: WeakNF, sig: Signature
 ) -> tuple[tuple[BasicFormula, ...], Signature]:
@@ -614,8 +628,14 @@ def to_basic(
     instantiated per 1-type, and strengthened to demand a witness of
     another 1-type where the direction allows it; the universal conjunct is
     instantiated per pair of 1-types and classified into the universal
-    shapes.  Raises EnumerationBudgetError, before enumerating anything,
-    when the compiled signature has more than MAX_BASIC_UNARY predicates.
+    shapes.
+
+    Before any 1-type or basic formula is built, the basic formulas to
+    build are counted: |Z| + m + 3m * 2**(k-1) over k compiled bits, plus
+    |A| * |B| for each pair of eta-projection classes A, B whose universal
+    shape constrains anything (the output keeps one copy of each universal
+    one).  Past MAX_BASIC_FORMULAS this raises EnumerationBudgetError; the
+    universal part is not counted when the rest is already past it.
     """
     if sig.dist is not DistKind.PARTIAL_ORDER or sig.binary:
         raise PreconditionError("basic compilation needs a unary partial-order signature")
@@ -625,9 +645,29 @@ def to_basic(
     m = w.multiplicity
     labels = fresh_names(sig, "p", 3 * m)
     sig_star = sig.with_unary(labels)
-    if len(sig_star.unary) > MAX_BASIC_UNARY:
-        bits = len(sig_star.unary)
-        raise EnumerationBudgetError(f"{bits}-bit 1-types exceed the desk-scale enumeration budget")
+    k = len(sig_star.unary)
+    # The instantiated universal constraint depends only on the 1-type bits
+    # of predicates occurring in eta: classify once per pair of projection
+    # classes, on the first 1-type of each, and emit per pair of members.
+    eta_preds = sorted(formula_predicates(w.eta) & set(sig_star.unary))
+    positions = [sig_star.one_type_bit[("u", p, "x")] for p in eta_preds]
+    navs: dict[tuple, frozenset[str]] = {}
+    count = len(w.z) + m + 3 * m * 2**k // 2
+    if count <= MAX_BASIC_FORMULAS:
+        firsts = {}
+        for key in itertools.product((False, True), repeat=len(positions)):
+            bits = dict(zip(positions, key))
+            firsts[key] = OneType(sig_star, tuple(bits.get(i, False) for i in range(k)))
+        for ka, alpha in firsts.items():
+            for kb, beta in firsts.items():
+                navs[ka, kb] = _classify(w.eta, sig_star, alpha, beta)
+        constrained = sum(n in _UNIVERSAL_SHAPES for n in navs.values())
+        count += constrained * 4 ** (k - len(eta_preds))
+    if count > MAX_BASIC_FORMULAS:
+        raise EnumerationBudgetError(
+            f"basic compilation refused: at least {count} basic formulas to "
+            f"build exceed the budget of {MAX_BASIC_FORMULAS}"
+        )
     label_of = {
         (h, d): labels[3 * h + i]
         for h in range(m)
@@ -658,88 +698,42 @@ def to_basic(
                 out.append(
                     BasicFormula(kind, alpha=alpha, mu=substitute(mu_y, {"y": "x"}))
                 )
-    # The instantiated universal constraint depends only on the 1-type bits
-    # of predicates actually occurring in it; classify once per projection
-    # pair and emit per full pair of 1-types in the projection classes.
-    eta_preds = sorted(formula_predicates(w.eta) & set(sig_star.unary))
     groups: dict[tuple, list[OneType]] = {}
     for tp in types:
-        groups.setdefault(
-            tuple(tp.unary_polarity(p) for p in eta_preds), []
-        ).append(tp)
-
-    def classify(alpha: OneType, beta: OneType) -> frozenset[str]:
-        g = _eval_literals(w.eta, sig_star, alpha, beta, None)
-        true_navs = set()
-        for d in ("lt", "gt", "sim"):
-            val = simplify(_eval_literals(g, sig_star, None, None, _NAV_SUBST[d]))
-            if val not in (TRUE, FALSE):
-                raise LogicError("universal matrix failed to reduce to a navigational form")
-            if val == TRUE:
-                true_navs.add(d)
-        return frozenset(true_navs)
-
+        groups.setdefault(tuple(tp.bits[i] for i in positions), []).append(tp)
     seen: set[BasicFormula] = set(out)
-
-    def emit(b: BasicFormula) -> None:
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-
-    pair_iter = (
-        (alpha, beta, navs)
-        for ga, members_a in groups.items()
-        for gb, members_b in groups.items()
-        for navs in (classify(members_a[0], members_b[0]),)
-        if navs != {"lt", "gt", "sim"}
-        for alpha in members_a
-        for beta in members_b
-    )
-    for alpha, beta, navs in pair_iter:
-        same = alpha == beta
-        if not navs:
-            emit(
-                BasicFormula(BasicKind.B1A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B1B, alpha=alpha, beta=beta)
-            )
-        elif navs == {"sim"}:
-            emit(
-                BasicFormula(BasicKind.B2A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B2B, alpha=alpha, beta=beta)
-            )
-        elif navs == {"lt"}:
-            emit(
-                BasicFormula(BasicKind.B1A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B3, alpha=alpha, beta=beta)
-            )
-        elif navs == {"gt"}:
-            emit(
-                BasicFormula(BasicKind.B1A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B3, alpha=beta, beta=alpha)
-            )
-        elif navs == {"lt", "sim"}:
-            emit(
-                BasicFormula(BasicKind.B2A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B4, alpha=alpha, beta=beta)
-            )
-        elif navs == {"gt", "sim"}:
-            emit(
-                BasicFormula(BasicKind.B2A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B4, alpha=beta, beta=alpha)
-            )
-        elif navs == {"lt", "gt"}:
-            emit(
-                BasicFormula(BasicKind.B5A, alpha=alpha)
-                if same
-                else BasicFormula(BasicKind.B5B, alpha=alpha, beta=beta)
-            )
+    for ka, members_a in groups.items():
+        for kb, members_b in groups.items():
+            shape = _UNIVERSAL_SHAPES.get(navs[ka, kb])
+            if shape is None:
+                continue
+            same_kind, kind, swap = shape
+            for alpha in members_a:
+                for beta in members_b:
+                    if alpha == beta:
+                        b = BasicFormula(same_kind, alpha=alpha)
+                    elif swap:
+                        b = BasicFormula(kind, alpha=beta, beta=alpha)
+                    else:
+                        b = BasicFormula(kind, alpha=alpha, beta=beta)
+                    if b not in seen:
+                        seen.add(b)
+                        out.append(b)
     return tuple(out), sig_star
+
+
+def _classify(eta: Formula, sig: Signature, alpha: OneType, beta: OneType) -> frozenset[str]:
+    """The directions in which eta holds of an x of type alpha and a y of
+    type beta."""
+    g = _eval_literals(eta, sig, alpha, beta, None)
+    true_navs = set()
+    for d in ("lt", "gt", "sim"):
+        val = simplify(_eval_literals(g, sig, None, None, _NAV_SUBST[d]))
+        if val not in (TRUE, FALSE):
+            raise LogicError("universal matrix failed to reduce to a navigational form")
+        if val == TRUE:
+            true_navs.add(d)
+    return frozenset(true_navs)
 
 
 # ---------------------------------------------------------------------------

@@ -307,9 +307,11 @@ def pipeline_verify(
     """Run the full transformation chain for the given logic with every
     stage's postconditions checked; the report is the oracle output.  A
     model search that exhausts its node budget ends the report with an
-    'unknown' stage.  Without ``enum_budget``, the clique round trip runs
-    under the default budget with the normal form's 4m guard predicates
-    added to ``max_unary``."""
+    'unknown' stage.  A table that would pass its limit is counted before
+    it is built and skips its stage with the count: basic compilation past
+    ``MAX_BASIC_FORMULAS``, the clique round trip past ``enum_budget``.
+    Without ``enum_budget``, the round trip runs under the default budget
+    with the normal form's 4m guard predicates added to ``max_unary``."""
     if logic not in CHAINS:
         raise LogicError(f"unknown logic tag {logic!r}")
     budget = budget or SearchBudget()

@@ -138,14 +138,30 @@ def test_bound_below_two_is_a_usage_error(formula_file, capsys):
 
 
 def test_a_refused_basic_compilation_exits_2(formula_file, capsys):
-    # Three witness conjuncts over p and q compile to 2 + 9 = 11 bits.
+    # Three witness conjuncts over p and q compile to 2 + 9 = 11 bits, and
+    # the p-antichain constraint relates 4**10 pairs of 1-types.
     text = (
         "forall x exists y (x < y & p(y)) & forall x exists y (y < x & q(y))"
         " & forall x exists y (x != y & !(x < y) & !(y < x))"
+        " & forall x forall y (p(x) & p(y) -> !(x < y))"
     )
     args = ["normalize", "--to", "basic", "--logic", "l2-1po-u", "--unary", "p,q", formula_file(text)]
     assert cli.main(args) == cli.EXIT_UNKNOWN
-    assert "11-bit 1-types exceed" in capsys.readouterr().err
+    assert "at least 1057795 basic formulas to build exceed" in capsys.readouterr().err
+
+
+def test_a_runaway_basic_compilation_is_skipped_at_once(formula_file, capsys):
+    # The standard normal form adds 2 predicates and m = 2 adds 6 labels:
+    # 10 bits.  Its universal part d0(x) fails on half the 1-types, so it
+    # gives 2 * 4**9 basic formulas on top of 2 + 6 * 2**9.
+    args = ["verify-pipeline", "--logic", "l2-1po-u", "--unary", "p,q", "--bound", "3"]
+    start = time.perf_counter()
+    assert cli.main(args + [formula_file("exists x exists y x = y")]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 5
+    assert (
+        "[skip] basic compilation -- basic compilation refused: "
+        "at least 527362 basic formulas to build exceed the budget of 32768\n"
+    ) in capsys.readouterr().out
 
 
 def test_a_crash_exits_70_not_1(formula_file, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 """Clique decomposition, small cliques, cells/diatoms, cliquify."""
 
+import dataclasses
 import itertools
 
 import pytest
 
+import finsat.cliques
 from finsat.logic import (
     DistKind,
     Implies,
@@ -202,20 +204,35 @@ def test_enumerate_diatoms_consistency_tables():
     assert count == table.n_diatoms
 
 
-def test_diatom_budget_counts_before_building():
+def test_diatom_budget_counts_before_building(monkeypatch):
     # One binary r: 4 cells of size 1, and 4 cross bits per cell pair.
     sig = Signature((), ("r",), DistKind.TRANSITIVE)
     assert enumerate_diatoms(sig, 1, EnumerationBudget(max_diatoms=192)).n_diatoms == 192
+
+    def refuse_to_build(*args):
+        raise AssertionError("built a cell before the count refused")
+
+    monkeypatch.setattr(finsat.cliques, "_unary_assignments", refuse_to_build)
     with pytest.raises(EnumerationBudgetError, match="192 diatoms exceed the budget of 191"):
         enumerate_diatoms(sig, 1, EnumerationBudget(max_diatoms=191))
+    # a and b over cliques up to size 3: 8 + 16 + 64 cells.
+    with pytest.raises(EnumerationBudgetError, match="^diatom enumeration refused: 23232 diatoms"):
+        enumerate_cells(TS, 3)
 
 
 def test_enumeration_budget_refusal():
     wide = Signature(("a", "b", "c"), (), DistKind.TRANSITIVE)
-    with pytest.raises(EnumerationBudgetError):
+    with pytest.raises(EnumerationBudgetError, match="3 unary predicates exceed the budget of 2"):
         enumerate_cells(wide, 2)
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_cells(TS, 3)
+
+
+#: The enumeration budget's knobs: a unary width and one count, checked
+#: before any cell is built.
+BUDGET_KNOBS = ["max_unary", "max_diatoms"]
+
+
+def test_enumeration_budget_knobs():
+    assert [f.name for f in dataclasses.fields(EnumerationBudget)] == BUDGET_KNOBS
 
 
 def test_cliquify_multiplicity_bookkeeping():

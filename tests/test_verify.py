@@ -5,12 +5,13 @@ import time
 
 import pytest
 
+import finsat.normal_forms
 import finsat.verify
 from finsat import cli
 from finsat.cliques import EnumerationBudget, EnumerationBudgetError
 from finsat.factorization import TypedPartialOrder
 from finsat.logic import TRUE, DistKind, Signature, VerificationFailure, enumerate_one_types
-from finsat.normal_forms import WeakNF, to_basic
+from finsat.normal_forms import WeakNF, to_basic, to_standard_nf
 from finsat.parsing import parse_formula
 from finsat.solver import SearchBudget
 from finsat.verify import pipeline_verify
@@ -54,7 +55,11 @@ CASES = {
             ("normal form implies the input", "pass", "checked on the found model"),
             ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
             ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
-            ("basic compilation", "skipped", "31-bit 1-types exceed the desk-scale enumeration budget"),
+            (
+                "basic compilation",
+                "skipped",
+                "basic compilation refused: at least 19327352840 basic formulas to build exceed the budget of 32768",
+            ),
         ]
         + BLOCKS_SKIPPED,
     ),
@@ -101,19 +106,35 @@ def test_report_rows(name):
 
 
 def test_to_basic_refuses_eleven_bits_at_once():
-    # m = 3 adds 9 direction labels to the 2 predicates of the signature.
-    w = WeakNF((), TRUE, (TRUE, TRUE, TRUE))
+    # m = 3 adds 9 direction labels to the 2 predicates of the signature,
+    # and the universal constraint relates every one of the 4**11 pairs of
+    # 1-types: 3 + 9 * 2**10 + 4**11 basic formulas.
+    w = WeakNF((), parse_formula("x < y | y < x", PO_PQ), (TRUE, TRUE, TRUE))
     start = time.perf_counter()
-    with pytest.raises(EnumerationBudgetError, match="^11-bit 1-types exceed the desk-scale enumeration budget$"):
+    with pytest.raises(
+        EnumerationBudgetError,
+        match="^basic compilation refused: at least 4203523 basic formulas to build exceed the budget of 32768$",
+    ):
         to_basic(w, PO_PQ)
     assert time.perf_counter() - start < 1.0
 
 
-# Three witness conjuncts and no finite model: m = 3 over p and q.
+def test_to_basic_compiles_eleven_bits_when_the_count_is_small():
+    # The same 11 bits without a universal constraint: 3 + 9 * 2**10.
+    psis, sig_star = to_basic(WeakNF((), TRUE, (TRUE, TRUE, TRUE)), PO_PQ)
+    assert (len(psis), len(sig_star.unary)) == (9219, 11)
+
+
+# Three witness conjuncts over p and q (m = 3, 11 bits): every element
+# has a greater p-element, yet p-elements are pairwise incomparable, so
+# there is no model.  The one constrained class pair, p with p, gives 4**10
+# basic formulas on top of 3 + 9 * 2**10.
 THREE_WITNESSES = (
     "forall x exists y (x < y & p(y)) & forall x exists y (y < x & q(y))"
     " & forall x exists y (x != y & !(x < y) & !(y < x))"
+    " & forall x forall y (p(x) & p(y) -> !(x < y))"
 )
+THREE_WITNESSES_REFUSAL = "basic compilation refused: at least 1057795 basic formulas to build exceed the budget of 32768"
 
 
 def test_unary_chain_skips_a_refused_compilation():
@@ -123,8 +144,20 @@ def test_unary_chain_skips_a_refused_compilation():
     assert rows(report) == [
         ("standard normal form", "pass", "multiplicity 3, 0 fresh predicates"),
         ("normal form implies the input", "skipped", "no model up to size 4"),
-        ("basic compilation", "skipped", "11-bit 1-types exceed the desk-scale enumeration budget"),
+        ("basic compilation", "skipped", THREE_WITNESSES_REFUSAL),
     ] + BLOCKS_SKIPPED
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("built before the count refused")
+
+
+def test_to_basic_counts_before_building(monkeypatch):
+    monkeypatch.setattr(finsat.normal_forms, "enumerate_one_types", _refuse_to_build)
+    monkeypatch.setattr(finsat.normal_forms, "BasicFormula", _refuse_to_build)
+    snf, sig1 = to_standard_nf(parse_formula(THREE_WITNESSES, PO_PQ), PO_PQ)
+    with pytest.raises(EnumerationBudgetError, match=f"^{THREE_WITNESSES_REFUSAL}$"):
+        to_basic(snf.to_weak(), sig1)
 
 
 # Every element has an incomparable partner: 13 basic formulas.
