@@ -40,9 +40,11 @@ from .logic import (
     atom,
     disj,
     evaluate,
+    free_vars,
     neg,
     one_type_of,
     t_rel,
+    tarski,
 )
 from .normal_forms import S_ORDER, StandardNF, TransitiveNF, fresh_names
 from .resolution import labels
@@ -367,10 +369,10 @@ def bound_cliques(s: Structure, tnf: TransitiveNF) -> Structure:
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Limits on the cell and diatom tables: at most max_unary unary
-    predicates, and at most max_diatoms diatoms, counted before any cell is
-    built.  pipeline_verify adds the 4m guard predicates of the transitive
-    normal form to max_unary unless given a budget."""
+    """Limits on the cell and diatom tables, checked before any cell is
+    built: the full table takes at most max_unary unary predicates and
+    max_diatoms diatoms, a model's realized table at most max_diatoms
+    clique pairs."""
 
     max_unary: int = 2
     max_diatoms: int = 8192
@@ -459,8 +461,6 @@ class DiatomTable:
     n: int
     cells: tuple[Structure, ...]
     diatoms: tuple[Structure, ...]
-    left_sizes: tuple[int, ...]
-    right_sizes: tuple[int, ...]
     left: tuple[int, ...]  # L(k): cell index of the left clique
     right: tuple[int, ...]  # R(k)
     inverse: tuple[int, ...]  # I(k)
@@ -478,12 +478,18 @@ class DiatomTable:
         return len(self.diatoms)
 
 
-def _structure_key(s: Structure) -> tuple:
+def _structure_key(s: Structure, perm: Sequence[int] = ()) -> tuple:
+    """A hashable key of s, or of its image under perm (a to perm[a])."""
+    perm = perm or range(s.size)
+
+    def pairs(ps: frozenset[Pair]) -> tuple:
+        return tuple(sorted((perm[a], perm[b]) for a, b in ps))
+
     return (
         s.size,
-        tuple(tuple(sorted(s.unary_of(p))) for p in s.sig.unary),
-        tuple(tuple(sorted(s.binary_of(r))) for r in s.sig.binary),
-        tuple(sorted(s.dist)),
+        tuple(tuple(sorted(perm[a] for a in s.unary_of(p))) for p in s.sig.unary),
+        tuple(pairs(s.binary_of(r)) for r in s.sig.binary),
+        pairs(s.dist),
     )
 
 
@@ -522,12 +528,7 @@ def enumerate_diatoms(
     """All labelled two-clique structures built from cell pairs, an order
     type and (when ordinary binaries exist) all cross assignments."""
     cells = enumerate_cells(sig, n, budget)
-    diatoms: list[Structure] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    l_sizes: list[int] = []
-    r_sizes: list[int] = []
-    kinds: list[str] = []
+    diatoms: list[tuple] = []
     for li, lc in enumerate(cells):
         for ri, rc in enumerate(cells):
             cross_pairs = [
@@ -535,55 +536,62 @@ def enumerate_diatoms(
             ] + [(b + lc.size, a) for a in range(lc.size) for b in range(rc.size)]
             for kind in ("lt", "gt", "sim"):
                 for cross in _binary_assignments(sig, cross_pairs):
-                    diatoms.append(_diatom_structure(sig, lc, rc, kind, cross))
-                    lefts.append(li)
-                    rights.append(ri)
-                    l_sizes.append(lc.size)
-                    r_sizes.append(rc.size)
-                    kinds.append(kind)
-    index = {_structure_key(d): k for k, d in enumerate(diatoms)}
-    inverse = []
-    for k, d in enumerate(diatoms):
-        ml, mr = l_sizes[k], r_sizes[k]
-        perm = {a: a + mr for a in range(ml)}
-        perm.update({a + ml: a for a in range(mr)})
-        swapped = Structure(
-            sig,
-            d.size,
-            {p: frozenset(perm[a] for a in d.unary_of(p)) for p in sig.unary},
-            {
-                r: frozenset((perm[a], perm[b]) for a, b in d.binary_of(r))
-                for r in sig.binary
-            },
-            frozenset((perm[a], perm[b]) for a, b in d.dist),
+                    diatoms.append((_diatom_structure(sig, lc, rc, kind, cross), li, ri, kind))
+    return _diatom_table(sig, n, cells, diatoms)
+
+
+def realized_diatoms(s: Structure, budget: Optional[EnumerationBudget] = None) -> DiatomTable:
+    """The cells and diatoms s realizes: one cell per distinct clique
+    restriction, one diatom per distinct restriction to an ordered pair of
+    cliques, with that pair's order type.  Its L(L-1) clique pairs are
+    counted against max_diatoms before any is built."""
+    budget = budget or EnumerationBudget()
+    dec = cliques_of(s)
+    if len(dec.cliques) < 2:
+        raise PreconditionError("a realized table needs at least two cliques")
+    pairs = list(itertools.permutations(range(len(dec.cliques)), 2))
+    if len(pairs) > budget.max_diatoms:
+        raise EnumerationBudgetError(
+            f"diatom enumeration refused: {len(pairs)} clique pairs exceed the "
+            f"budget of {budget.max_diatoms} diatoms"
         )
-        inverse.append(index[_structure_key(swapped)])
-    table = DiatomTable(
-        sig,
-        n,
-        cells,
-        tuple(diatoms),
-        tuple(l_sizes),
-        tuple(r_sizes),
-        tuple(lefts),
-        tuple(rights),
-        tuple(inverse),
-        tuple(kinds),
-        {_structure_key(c): j for j, c in enumerate(cells)},
-        index,
+    members = [sorted(c) for c in dec.cliques]
+    cells: dict[tuple, Structure] = {}
+    keys = []
+    for c in members:
+        cell = _restrict(s, c).structure
+        keys.append(_structure_key(cell))
+        cells.setdefault(keys[-1], cell)
+    cell_of = [list(cells).index(key) for key in keys]
+    diatoms: dict[tuple, tuple] = {}
+    for u, v in pairs:
+        d = _restrict(s, members[u] + members[v]).structure
+        diatoms.setdefault(_structure_key(d), (d, cell_of[u], cell_of[v], dec.relation(u, v)))
+    return _diatom_table(s.sig, max(map(len, members)), tuple(cells.values()), list(diatoms.values()))
+
+
+def _diatom_table(sig: Signature, n: int, cells: tuple, diatoms: Sequence[tuple]) -> DiatomTable:
+    """The table of the given (diatom, left cell, right cell, order type)
+    entries.  A diatom's inverse is the diatom with its two cliques
+    swapped, found by key, and the index algebra is checked."""
+    ds, lefts, rights, kinds = zip(*diatoms)
+    index = {_structure_key(d): k for k, d in enumerate(ds)}
+    inverse = tuple(
+        index.get(_structure_key(d, [a + d.size - ml if a < ml else a - ml for a in range(d.size)]))
+        for d, ml in zip(ds, (cells[j].size for j in lefts))
     )
-    for k in range(table.n_diatoms):
-        ik = table.inverse[k]
-        if table.inverse[ik] != k:
+    flip = {"lt": "gt", "gt": "lt", "sim": "sim"}
+    for k, ik in enumerate(inverse):
+        if ik is None or inverse[ik] != k:
             raise VerificationFailure("diatom inversion is not an involution")
-        want = {"lt": "gt", "gt": "lt", "sim": "sim"}[table.order_type[k]]
-        if table.order_type[ik] != want:
+        if kinds[ik] != flip[kinds[k]]:
             raise VerificationFailure("diatom inversion mishandles the order type")
-        if table.left[ik] != table.right[k] or table.right[ik] != table.left[k]:
+        if lefts[ik] != rights[k] or rights[ik] != lefts[k]:
             raise VerificationFailure("diatom inversion mishandles the reference cells")
-    if not 2 <= table.m_cells <= table.n_diatoms:
+    if not 1 <= len(cells) <= len(ds):
         raise VerificationFailure("cell/diatom counts violate their basic bounds")
-    return table
+    cell_index = {_structure_key(c): j for j, c in enumerate(cells)}
+    return DiatomTable(sig, n, cells, ds, lefts, rights, inverse, kinds, cell_index, index)
 
 
 @dataclass(frozen=True)
@@ -613,21 +621,26 @@ def cliquify(
     budget: Optional[EnumerationBudget] = None,
 ) -> CliquifyResult:
     """Compile a transitive-normal-form formula into a partial-order
-    standard normal form over clique labels.
+    standard normal form over clique labels, over the full table of the
+    cells and diatoms of cliques up to size n.
 
     A model with at least two cliques, all of size at most n, abstracts to
     a model of the output; any model of the output of size L expands to a
     model of the input of size at most n * L.  The output's multiplicity is
     exactly 4mn.
-
-    Each cell label (in x and in y) and each diatom label (in xy and in yx)
-    is built once, and the output holds it as a shared subtree wherever it
-    occurs.  The output is already constant-free: ``simplify`` leaves eta
-    and every theta unchanged.
     """
     if sig_t.dist is not DistKind.TRANSITIVE:
         raise PreconditionError("cliquify needs a transitive signature")
-    table = enumerate_diatoms(sig_t, n, budget)
+    return cliquify_over(tnf, enumerate_diatoms(sig_t, n, budget))
+
+
+def cliquify_over(tnf: TransitiveNF, table: DiatomTable) -> CliquifyResult:
+    """cliquify over the full table, or over the cells and diatoms one
+    model realizes; then "every element names a cell, every pair a diatom"
+    restricts the output to them.  Each label is built once and shared
+    wherever it occurs, and ``simplify`` leaves eta and every theta
+    unchanged."""
+    sig_t, n, m = table.sig, table.n, tnf.multiplicity
     m_cells, n_diatoms = table.m_cells, table.n_diatoms
     s_bits = max(1, math.ceil(math.log2(m_cells)))
     t_bits = max(1, math.ceil(math.log2(n_diatoms)))
@@ -638,6 +651,50 @@ def cliquify(
     cell_y = labels(p_preds, m_cells, ("y",))
     diatom_xy = labels(q_preds, n_diatoms, ("x", "y"))
     diatom_yx = labels(q_preds, n_diatoms, ("y", "x"))
+
+    within = Forall("x", Forall("y", Or((Eq("x", "y"), tnf.etas[0]))))
+    acrosses = [
+        Forall("x", Forall("y", Implies(t_rel(s), tnf.etas[s_idx])))
+        for s_idx, s in enumerate(S_ORDER[1:], start=1)
+    ]
+    # Within-clique witnesses, read at each carrier position x.
+    witnesses = [
+        Implies(
+            Atom(tnf.guards[h][0], ("x",)),
+            Exists("y", And((neg(Eq("x", "y")), t_rel("eq"), tnf.thetas[h][0]))),
+        )
+        for h in range(m)
+    ]
+    # evaluate's check, made once: the unchecked reads below bind x and y.
+    cross = tuple(th for ths in tnf.thetas for th in ths[1:])
+    free = free_vars(And((within, *acrosses, *witnesses, *cross))) - {"x", "y"}
+    if free:
+        raise PreconditionError(f"unassigned free variables {sorted(free)}")
+    env: dict[str, int] = {}
+
+    def positions(holds, f: Formula, xs: range, ys: range = range(1)) -> frozenset[int]:
+        """The x in xs at which f holds for some y in ys."""
+        out = set()
+        for x, y in itertools.product(xs, ys):
+            env["x"], env["y"] = x, y
+            if x not in out and holds(f):
+                out.add(x)
+        return frozenset(out)
+
+    # One truth walk per cell reads its within part and witnesses, one per
+    # diatom its three cross parts and each theta of its order type.
+    cell_reads = []
+    for c in table.cells:
+        holds = tarski(c, env)
+        cell_reads.append((holds(within), [positions(holds, w, range(c.size)) for w in witnesses]))
+    diatom_reads = []
+    for k, d in enumerate(table.diatoms):
+        holds = tarski(d, env)
+        ml, s_idx = table.cells[table.left[k]].size, S_ORDER.index(table.order_type[k])
+        diatom_reads.append((
+            [holds(f) for f in acrosses],
+            [positions(holds, tnf.thetas[h][s_idx], range(ml), range(ml, d.size)) for h in range(m)],
+        ))
 
     eta_parts: list[Formula] = []
     # Every element names a cell, every ordered pair a diatom.
@@ -660,35 +717,27 @@ def cliquify(
     eta_parts.extend(
         Implies(diatom_xy[k], nav_atom[table.order_type[k]]) for k in range(n_diatoms)
     )
-    # Universal matrix: within cells and across diatoms.  Each list holds
-    # at least two labels, so each part is a disjunction: vacuously, every
-    # one-element cell passes the within-cell check, every sim diatom the
-    # lt and gt checks, and every lt diatom the sim check.
-    within = Forall("x", Forall("y", Or((Eq("x", "y"), tnf.etas[0]))))
-    eta_parts.append(
-        disj(tuple(cell_x[j] for j, c in enumerate(table.cells) if evaluate(c, within)))
-    )
-    for s_idx, s in enumerate(S_ORDER[1:], start=1):
-        across = Forall("x", Forall("y", Implies(t_rel(s), tnf.etas[s_idx])))
+    # Universal matrix: within cells and across diatoms.  Over the full
+    # table each list holds at least two labels, so each part is a
+    # disjunction: vacuously, every one-element cell passes the within-cell
+    # check, every sim diatom the lt and gt checks, and every lt diatom the
+    # sim check.
+    eta_parts.append(disj(tuple(cell_x[j] for j, r in enumerate(cell_reads) if r[0])))
+    for s_idx in range(3):
         eta_parts.append(
-            disj(tuple(diatom_xy[k] for k, d in enumerate(table.diatoms) if evaluate(d, across)))
+            disj(tuple(diatom_xy[k] for k, r in enumerate(diatom_reads) if r[0][s_idx]))
         )
     eta = And(tuple(eta_parts))
 
     thetas: list[Formula] = []
-    m = tnf.multiplicity
     for h in range(m):
         guards = tnf.guards[h]
         # Within-clique witnesses, one conjunct per carrier position.
-        witness = Implies(
-            Atom(guards[0], ("x",)),
-            Exists("y", And((neg(Eq("x", "y")), t_rel("eq"), tnf.thetas[h][0]))),
-        )
         for i in range(n):
             ok = [
                 j
                 for j, c in enumerate(table.cells)
-                if i >= c.size or evaluate(c, witness, {"x": i})
+                if i >= c.size or i in cell_reads[j][1][h]
             ]
             thetas.append(disj(tuple(cell_x[j] for j in ok)))
         # Cross-clique witnesses per order type and carrier position.
@@ -704,17 +753,8 @@ def cliquify(
                 xi = disj(
                     tuple(
                         diatom_xy[k]
-                        for k, d in enumerate(table.diatoms)
-                        if table.order_type[k] == s
-                        and i < table.left_sizes[k]
-                        and any(
-                            evaluate(
-                                d,
-                                tnf.thetas[h][s_idx],
-                                {"x": i, "y": table.left_sizes[k] + i2},
-                            )
-                            for i2 in range(table.right_sizes[k])
-                        )
+                        for k in range(n_diatoms)
+                        if table.order_type[k] == s and i in diatom_reads[k][1][h]
                     )
                 )
                 # nu -> xi, with the constants folded as simplify would.
@@ -822,9 +862,9 @@ def expand_model(res: CliquifyResult, b: Structure) -> Structure:
         if table.left[k] != cell_of[u] or table.right[k] != cell_of[v]:
             raise VerificationFailure("pair label clashes with its endpoint cells")
         d = table.diatoms[k]
-        ml = table.left_sizes[k]
+        ml = table.cells[table.left[k]].size
         for a in range(ml):
-            for c in range(table.right_sizes[k]):
+            for c in range(d.size - ml):
                 ga, gc = a + offsets[u], c + offsets[v]
                 for r in sig.binary:
                     if (a, c + ml) in d.binary_of(r):

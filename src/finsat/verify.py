@@ -47,8 +47,9 @@ from .cliques import (
     abstract_model,
     bound_cliques,
     cliques_of,
-    cliquify,
+    cliquify_over,
     expand_model,
+    realized_diatoms,
 )
 from .parsing import write_structure
 from .solver import BudgetExceeded, SearchBudget, smallest_model
@@ -276,22 +277,19 @@ def _transitive_chain(
         return
     bounded = bound_cliques(model, tnf)
     report.step("pass", f"size {model.size} -> {bounded.size}, formula re-verified")
-    dec = cliques_of(bounded)
-    if len(dec.cliques) < 2:
+    if len(cliques_of(bounded).cliques) < 2:
         report.step("skipped", "single-clique model")
         return
-    n = max(len(c) for c in dec.cliques)
-    if enum_budget is None:
-        enum_budget = EnumerationBudget(
-            max_unary=EnumerationBudget.max_unary + 4 * tnf.multiplicity
-        )
     try:
-        res = cliquify(tnf, sig1, n, enum_budget)
+        res = cliquify_over(tnf, realized_diatoms(bounded, enum_budget))
     except EnumerationBudgetError as e:
         report.step("skipped", str(e))
         return
     hat = abstract_model(res, bounded)
     back = expand_model(res, hat)
+    if not evaluate(back, phi):
+        report.step("fail", "expanded model fails the input")
+        return
     report.step(
         "pass", f"{bounded.size} elements -> {hat.size} cliques -> {back.size} elements"
     )
@@ -309,9 +307,9 @@ def pipeline_verify(
     model search that exhausts its node budget ends the report with an
     'unknown' stage.  A table that would pass its limit is counted before
     it is built and skips its stage with the count: basic compilation past
-    ``MAX_BASIC_FORMULAS``, the clique round trip past ``enum_budget``.
-    Without ``enum_budget``, the round trip runs under the default budget
-    with the normal form's 4m guard predicates added to ``max_unary``."""
+    ``MAX_BASIC_FORMULAS``, the clique round trip past ``enum_budget``'s
+    ``max_diatoms`` (default 8192).  The round trip runs over the cells and
+    diatoms the bounded model realizes, at most L(L-1) for L cliques."""
     if logic not in CHAINS:
         raise LogicError(f"unknown logic tag {logic!r}")
     budget = budget or SearchBudget()

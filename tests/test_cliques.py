@@ -28,12 +28,15 @@ from finsat.cliques import (
     enumerate_cells,
     enumerate_diatoms,
     expand_model,
+    _restrict,
+    _structure_key,
     max_clique_size,
     order_atom,
+    realized_diatoms,
     shrink_clique,
     shrink_substructure,
 )
-from finsat.normal_forms import TransitiveNF
+from finsat.normal_forms import TransitiveNF, to_transitive_nf
 from finsat.parsing import parse_formula
 from finsat.solver import find_model, random_structure
 from finsat.verify import pipeline_verify
@@ -325,10 +328,45 @@ def test_round_trip_runs_under_the_default_budget():
 
 
 def test_round_trip_refusal_names_the_diatom_count():
-    # m = 2: 8 guard predicates give 2 * 2**8 one-element cells and
-    # 3 * 512**2 diatoms, far past the default 8192.
-    text = "forall x exists y (x != y & !t(x,y) & !t(y,x)) & forall x exists y (x != y & !t(x,y))"
-    report = pipeline_verify(parse_formula(text, BARE), BARE, "l2-1t")
+    # Two cliques give two ordered clique pairs, counted before any is built.
+    phi = parse_formula("forall x exists y (x != y & !t(x,y) & !t(y,x))", BARE)
+    report = pipeline_verify(phi, BARE, "l2-1t", enum_budget=EnumerationBudget(max_diatoms=1))
     last = report.stages[-1]
     assert (last.stage, last.status) == ("clique abstraction round trip", "skipped")
-    assert "786432 diatoms exceed the budget of 8192" in last.detail
+    assert last.detail == "diatom enumeration refused: 2 clique pairs exceed the budget of 1 diatoms"
+
+
+def test_round_trip_runs_where_the_full_table_is_refused():
+    # m = 2: 8 guard predicates give 2 * 2**8 one-element cells and
+    # 3 * 512**2 diatoms in the full table, far past the default 8192.  The
+    # model's own table has one cell and two diatoms.
+    text = "forall x exists y (x != y & !t(x,y) & !t(y,x)) & forall x exists y (x != y & !t(x,y))"
+    phi = parse_formula(text, BARE)
+    tnf, sig1 = to_transitive_nf(phi, BARE)
+    with pytest.raises(EnumerationBudgetError, match="786432 diatoms exceed the budget of 8192"):
+        cliquify(tnf, sig1, 1, EnumerationBudget(max_unary=8))
+    last = pipeline_verify(phi, BARE, "l2-1t").stages[-1]
+    assert (last.stage, last.status) == ("clique abstraction round trip", "pass")
+
+
+def test_realized_table_inverts_and_indexes_every_clique_pair():
+    # Cliques {0, 1} < {2}, and {3}, {4} apart from them and each other:
+    # {3} and {4} restrict to the same cell, so their pairs with each other
+    # name one diatom, its own inverse, and their pairs with {0, 1} or {2}
+    # name one diatom per direction: 4 cliques, 3 cells, 7 diatoms.
+    total = {(a, b) for a in (0, 1) for b in (0, 1, 2)} | {(2, 2)}
+    s = Structure(
+        TS, 5, {"a": frozenset({0, 3, 4}), "b": frozenset({1})}, {}, frozenset(total)
+    )
+    dec = cliques_of(s)
+    table = realized_diatoms(s)
+    assert (len(dec.cliques), table.m_cells, table.n_diatoms) == (4, 3, 7)
+    for k, ik in enumerate(table.inverse):
+        assert table.inverse[ik] == k
+        assert (table.left[ik], table.right[ik]) == (table.right[k], table.left[k])
+    for u, v in itertools.permutations(range(4), 2):
+        pair = _restrict(s, sorted(dec.cliques[u]) + sorted(dec.cliques[v])).structure
+        k = table.diatom_index[_structure_key(pair)]
+        assert table.order_type[k] == dec.relation(u, v)
+    with pytest.raises(EnumerationBudgetError, match="12 clique pairs exceed the budget of 11"):
+        realized_diatoms(s, EnumerationBudget(max_diatoms=11))

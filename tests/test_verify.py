@@ -8,16 +8,17 @@ import pytest
 import finsat.normal_forms
 import finsat.verify
 from finsat import cli
-from finsat.cliques import EnumerationBudget, EnumerationBudgetError
+from finsat.cliques import EnumerationBudget, EnumerationBudgetError, cliquify
 from finsat.factorization import TypedPartialOrder
-from finsat.logic import TRUE, DistKind, Signature, VerificationFailure, enumerate_one_types
-from finsat.normal_forms import WeakNF, to_basic, to_standard_nf
+from finsat.logic import TRUE, DistKind, Signature, Structure, VerificationFailure, enumerate_one_types
+from finsat.normal_forms import WeakNF, to_basic, to_standard_nf, to_transitive_nf
 from finsat.parsing import parse_formula
-from finsat.solver import SearchBudget
+from finsat.solver import SearchBudget, random_formula
 from finsat.verify import pipeline_verify
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
 TAB = Signature(("a", "b"), (), DistKind.TRANSITIVE)
+T_P = Signature(("p",), (), DistKind.TRANSITIVE)
 PO0 = Signature((), (), DistKind.PARTIAL_ORDER)
 PO_PQ = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
 PO_PR = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
@@ -211,3 +212,33 @@ def test_verify_pipeline_exits_70_on_a_block_failure(monkeypatch, tmp_path, caps
     path.write_text(INCOMPARABLE)
     assert cli.main(["verify-pipeline", "--logic", "l2-1po-u", "--bound", "4", str(path)]) == cli.EXIT_INTERNAL == 70
     assert "[FAIL] block stages -- sub-block check broken on purpose" in capsys.readouterr().out
+
+
+#: l2-1t sweep seed 3 (random_formula at depth 3 over (p; t)): its transitive
+#: NF has 5 unary predicates, so the full cell and diatom table holds 12,288
+#: diatoms, past the default budget of 8,192.
+SWEEP_T = random_formula(3, T_P, 3)
+SWEEP_BUDGET = SearchBudget(max_size=3, node_limit=200_000)
+
+
+def test_round_trip_runs_on_a_sweep_input_the_full_table_refuses():
+    tnf, sig1 = to_transitive_nf(SWEEP_T, T_P)
+    with pytest.raises(EnumerationBudgetError, match="12288 diatoms exceed the budget of 8192"):
+        cliquify(tnf, sig1, 1, EnumerationBudget(max_unary=5))
+    report = pipeline_verify(SWEEP_T, T_P, "l2-1t", SWEEP_BUDGET)
+    assert rows(report)[-1] == ("clique abstraction round trip", "pass", "2 elements -> 2 cliques -> 2 elements")
+
+
+def test_a_wrong_expansion_is_reported_as_fail(monkeypatch):
+    # The broken expansion complements every unary predicate and checks
+    # nothing; the input, forall x !p(x), then fails on it.
+    def expand_model(res, hat):
+        s = real_expand(res, hat)
+        flipped = {p: frozenset(s.domain()) - s.unary_of(p) for p in s.sig.unary}
+        return Structure(s.sig, s.size, flipped, s.binary, s.dist)
+
+    real_expand = finsat.verify.expand_model
+    monkeypatch.setattr(finsat.verify, "expand_model", expand_model)
+    report = pipeline_verify(SWEEP_T, T_P, "l2-1t", SWEEP_BUDGET)
+    assert not report.ok
+    assert rows(report)[-1] == ("clique abstraction round trip", "fail", "expanded model fails the input")
