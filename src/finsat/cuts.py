@@ -95,8 +95,11 @@ def cuts_equivalent(
     """
     if not chi.below(chi_prime):
         raise PreconditionError("first cut must lie below the second")
-    fr1 = frontier(f, chi)
-    fr2 = frontier(f, chi_prime)
+    return _frontier_map(f, frontier(f, chi), frontier(f, chi_prime))
+
+
+def _frontier_map(f: Factorization, fr1: Frontier, fr2: Frontier) -> Optional[dict[int, int]]:
+    """cuts_equivalent on the frontiers of the lower and the upper cut."""
     mapping: dict[int, int] = {i: i for i in fr1.extremal}
     for side1, side2 in ((fr1.below, fr2.below), (fr1.above, fr2.above)):
         by_type = {f.block_types[j]: j for j, _ in side2}
@@ -213,12 +216,12 @@ def reduce_at(
 def find_equivalent_cuts(f: Factorization) -> Optional[tuple[Cut, Cut, dict[int, int]]]:
     """First equivalent cut pair by increasing gap, then by position."""
     cs = cuts_of(f)
+    frs = [frontier(f, c) for c in cs]
     for gap in range(1, len(cs)):
         for lo in range(len(cs) - gap):
-            chi_prime, chi = cs[lo], cs[lo + gap]
-            mapping = cuts_equivalent(f, chi, chi_prime)
+            mapping = _frontier_map(f, frs[lo + gap], frs[lo])
             if mapping is not None:
-                return chi, chi_prime, mapping
+                return cs[lo + gap], cs[lo], mapping
     return None
 
 

@@ -31,21 +31,21 @@ from .normal_forms import BasicFormula, BasicKind, basic_set_formula, fc_subset
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    adj: dict[int, set[int]] = {}
+    """The pairs joined by a path of one or more steps: Warshall's
+    algorithm over bit rows, bit j of rows[i] standing for (nodes[i],
+    nodes[j])."""
+    pairs = list(pairs)
+    nodes = sorted({a for pair in pairs for a in pair})
+    index = {a: i for i, a in enumerate(nodes)}
+    rows = [0] * len(nodes)
     for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-    out: set[Pair] = set()
-    for start in list(adj):
-        seen: set[int] = set()
-        stack = list(adj[start])
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(adj.get(b, ()))
-        out.update((start, b) for b in seen)
-    return frozenset(out)
+        rows[index[a]] |= 1 << index[b]
+    for k in range(len(nodes)):
+        rk, bit = rows[k], 1 << k
+        if rk:
+            rows = [r | rk if r & bit else r for r in rows]
+    bits = (enumerate(reversed(bin(r))) for r in rows)
+    return frozenset((a, nodes[j]) for a, row in zip(nodes, bits) for j, c in row if c == "1")
 
 
 def _extremal(types: Sequence[OneType], less) -> frozenset[int]:

@@ -16,10 +16,15 @@ literals (an "or" is the negated "and" of the negated literals), keyed by
 its sorted literal set, so one distinct gate gets one variable per size
 searched, wherever it occurs.  Gate definitions are two-sided.
 
-Planning, folding and lowering visit each shared subformula (one object
-reached along several paths, as in cliquify's output or a parsed '<->')
-once per call, so their cost is per distinct node; the clauses are the
-same as for an unshared copy of the formula.
+Grounding cost follows distinct nodes, not occurrences: a shared
+subformula is one object reached along several paths, as in cliquify's
+output, the bodies basic formulas share, or a parsed '<->'.  Plans:
+_plan walks a quantifier-free node once whatever its polarity, and gives
+each (node, polarity) one _Matrix, so each template is compiled once.
+Templates: folding and lowering visit each node of a matrix once per
+compile.  Instances: one encode instances each matrix and quantified plan
+once per assignment of its free variables, and lowers each instanced node
+to a literal once.  The clauses are those of an unshared copy.
 
 cdcl.py follows Chaff (Moskewicz et al., DAC 2001) and MiniSat (Een and
 Sorensson, SAT 2003).  Unit propagation watches two literals of each long
@@ -57,7 +62,7 @@ from .logic import (
     Structure,
     VerificationFailure,
     atom_key,
-    evaluate,
+    tarski,
 )
 
 
@@ -98,37 +103,54 @@ def _plan(f: Formula, pol: bool, memo: dict):
     _Matrix nodes, and f's free variables: polarity flows down and free
     variables up, in one pass.  The plan is None when f is quantifier-free;
     otherwise it is ("and" | "or", plans) or ("forall" | "exists", var,
-    plan).  memo holds the result for each (id(g), pol) of a g already
-    planned, so a shared subformula yields one plan."""
-    out = memo.get((id(f), pol))
+    plan, free), free sorted.  memo holds, under id(g) alone, the result
+    (None, free) of each quantifier-free g already planned, since free
+    variables do not depend on polarity, and under (id(g), pol) the one
+    _Matrix of such a g, or the result for any other g: a shared
+    subformula yields one plan, and its quantifier-free part is walked
+    once."""
+    out = memo.get(id(f)) or memo.get((id(f), pol))
     if out is not None:
         return out
     if isinstance(f, Atom):
-        out = None, frozenset(f.args)
+        free = frozenset(f.args)
     elif isinstance(f, Eq):
-        out = None, frozenset((f.left, f.right))
+        free = frozenset((f.left, f.right))
     elif isinstance(f, Not):
         out = _plan(f.sub, not pol, memo)
+        if out[0] is None:
+            out, free = None, out[1]
     elif isinstance(f, (Forall, Exists)):
-        p, free = _plan(f.body, pol, memo)
+        part = _plan(f.body, pol, memo)
+        bound = part[1] - {f.var}
         kind = "forall" if isinstance(f, Forall) == pol else "exists"
-        out = (kind, f.var, _Matrix(f.body, pol, free) if p is None else p), free - {f.var}
+        out = (kind, f.var, _matrix(f.body, pol, part, memo), tuple(sorted(bound))), bound
     else:
         if isinstance(f, Implies):
-            subs, conjunctive = ((f.left, not pol), (f.right, pol)), not pol
+            subs, pols, conjunctive = (f.left, f.right), (not pol, pol), not pol
         elif isinstance(f, (And, Or)):
-            subs, conjunctive = [(s, pol) for s in f.subs], isinstance(f, And) == pol
+            subs, pols, conjunctive = f.subs, [pol] * len(f.subs), isinstance(f, And) == pol
         else:
             raise LogicError(f"bad formula node {f!r}")
-        parts = [_plan(s, q, memo) for s, q in subs]
-        free = frozenset().union(*(fv for _, fv in parts))
-        if all(p is None for p, _ in parts):
-            out = None, free
-        else:
-            plans = [_Matrix(s, q, fv) if p is None else p for (s, q), (p, fv) in zip(subs, parts)]
+        # A quantifier-free kid planned before costs no call.
+        parts = [memo.get(id(s)) or _plan(s, q, memo) for s, q in zip(subs, pols)]
+        free = frozenset().union(*[fv for _, fv in parts])
+        if [p for p, _ in parts].count(None) < len(parts):
+            plans = [_matrix(s, q, part, memo) for s, q, part in zip(subs, pols, parts)]
             out = ("and" if conjunctive else "or", plans), free
-    memo[id(f), pol] = out
+    if out is None:
+        out = memo[id(f)] = None, free
+    else:
+        memo[id(f), pol] = out
     return out
+
+
+def _matrix(f: Formula, pol: bool, part, memo: dict):
+    """The plan of f under pol, given part = _plan(f, pol, memo): for a
+    quantifier-free f, its one _Matrix under pol."""
+    if part[0] is None and (id(f), pol) not in memo:
+        memo[id(f), pol] = _Matrix(f, pol, part[1])
+    return part[0] or memo[id(f), pol]
 
 
 def _gather(kids: Iterable, conjunctive: bool):
@@ -138,8 +160,8 @@ def _gather(kids: Iterable, conjunctive: bool):
     own gate gave far fewer conflicts than one long clause."""
     flat = []
     for k in kids:
-        if isinstance(k, bool):
-            if k == conjunctive:
+        if type(k) is bool:
+            if k is conjunctive:
                 continue
             return k
         flat.append(k)
@@ -166,9 +188,9 @@ def _atom_node(f: Atom, env: dict[str, int], pol: bool, sig: Signature, var):
 
 def _fold(f: Formula, env: dict[str, int], pol: bool, sig: Signature, var, memo: dict):
     """Quantifier-free f under env and polarity as a node: a bool, a
-    literal, or ("and" | "or", kids).  memo holds the node for each
-    (id(g), pol) of a g already folded under env."""
-    node = memo.get((id(f), pol))
+    literal, or ("and" | "or", kids).  memo[pol] holds the node for each
+    id(g) of a g already folded under env and pol."""
+    node = memo[pol].get(id(f))
     if node is not None:
         return node
     if isinstance(f, Atom):
@@ -178,14 +200,16 @@ def _fold(f: Formula, env: dict[str, int], pol: bool, sig: Signature, var, memo:
     elif isinstance(f, Not):
         node = _fold(f.sub, env, not pol, sig, var, memo)
     elif isinstance(f, (And, Or)):
-        kids = (_fold(s, env, pol, sig, var, memo) for s in f.subs)
+        # A memo hit costs no call (a False node is folded again, as a hit).
+        known = memo[pol]
+        kids = (known.get(id(s)) or _fold(s, env, pol, sig, var, memo) for s in f.subs)
         node = _gather(kids, isinstance(f, And) == pol)
     elif isinstance(f, Implies):
         kids = (_fold(s, env, p, sig, var, memo) for s, p in ((f.left, not pol), (f.right, pol)))
         node = _gather(kids, not pol)
     else:
         raise LogicError(f"bad formula node {f!r}")
-    memo[id(f), pol] = node
+    memo[pol][id(f)] = node
     return node
 
 
@@ -194,7 +218,7 @@ def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Tem
     pattern positions.  The folded tree shares a shared subformula's
     node, and numbering and lowering visit each node once."""
     first: dict[tuple, int] = {}  # (prefix, positions) -> provisional variable
-    tree = _fold(f, env, pol, sig, lambda *key: first.setdefault(key, len(first) + 1), {})
+    tree = _fold(f, env, pol, sig, lambda *key: first.setdefault(key, len(first) + 1), ({}, {}))
     if isinstance(tree, bool):
         return _Template([], [], tree)
     # Number only the atoms that survived folding.
@@ -208,24 +232,24 @@ def _compile(f: Formula, pol: bool, env: dict[str, int], sig: Signature) -> _Tem
         elif id(node) not in seen:
             seen.add(id(node))
             stack.extend(node[1])
-    local = {}
+    local = {}  # provisional literal -> local literal
     atoms = []
     for key, v in first.items():
         if v in reached:
             atoms.append(key)
-            local[v] = len(atoms)
+            local[v], local[-v] = len(atoms), -len(atoms)
     gates: list[tuple[int, ...]] = []
     gate_of: dict[tuple[int, ...], int] = {}
     lowered: dict[int, int] = {}  # id(node) -> local literal
 
     def lower(node) -> int:
         if isinstance(node, int):
-            return local[node] if node > 0 else -local[-node]
+            return local[node]
         lit = lowered.get(id(node))
         if lit is not None:
             return lit
         kind, kids = node
-        lits = [lower(k) for k in kids]
+        lits = [local[k] if isinstance(k, int) else lower(k) for k in kids]
         if kind == "or":
             lits = [-lit for lit in lits]
         key = tuple(sorted(set(lits)))
@@ -260,7 +284,10 @@ def _relabel(node, lit: list[int]):
     """A template's top node with local literals mapped through lit."""
     if isinstance(node, int):
         return lit[node] if node > 0 else -lit[-node]
-    return (node[0], [_relabel(k, lit) for k in node[1]])
+    kind, kids = node
+    if kind == "or":
+        return (kind, [lit[k] if k > 0 else -lit[-k] for k in kids])
+    return (kind, [_relabel(k, lit) for k in kids])
 
 
 class GroundEngine:
@@ -272,10 +299,11 @@ class GroundEngine:
     def __init__(self, phi: Formula, sig: Signature) -> None:
         self.phi = phi
         self.sig = sig
-        plan, free = _plan(phi, True, {})
-        if free:
-            raise PreconditionError(f"unassigned free variables {sorted(free)}")
-        self.plan = _Matrix(phi, True, free) if plan is None else plan
+        memo: dict = {}
+        part = _plan(phi, True, memo)
+        if part[1]:
+            raise PreconditionError(f"unassigned free variables {sorted(part[1])}")
+        self.plan = _matrix(phi, True, part, memo)
 
     def run(self, n: int, node_limit: int, base: Optional[Structure] = None) -> Optional[Structure]:
         """A model of size n, or None.  With base, a structure of size n
@@ -298,7 +326,7 @@ class GroundEngine:
         if base is not None:
             # Atoms the formula never reads decode false; base decides them.
             s = Structure(self.sig, n, {**s.unary, **base.unary}, base.binary, base.dist)
-        if not evaluate(s, self.phi):
+        if not tarski(s, {})(self.phi):
             raise VerificationFailure("grounded engine produced a non-model; grounding is wrong")
         return s
 
@@ -313,10 +341,11 @@ class GroundEngine:
         self.gate_of: dict[tuple[int, ...], int] = {}
         self.clauses: list[list[int]] = []
         self.n_vars = 0
-        root = self._node(self.plan, {})
+        root = self._node(self.plan, {}, {})
         if isinstance(root, bool):
             return root
         stack = [root]
+        lowered: dict[int, int] = {}  # id(node) -> literal, as _cnfify gave it
         while stack:
             node = stack.pop()
             if isinstance(node, int):
@@ -324,7 +353,7 @@ class GroundEngine:
             elif node[0] == "and":
                 stack.extend(node[1])
             else:
-                self.clauses.append([self._cnfify(k) for k in node[1]])
+                self.clauses.append([self._cnfify(k, lowered) for k in node[1]])
         self._axioms()
         return True
 
@@ -347,44 +376,56 @@ class GroundEngine:
             # sound here but propagates too little for unsatisfiable cores.
             self.n_vars += 1
             z = self.gate_of[key] = self.n_vars
-            self.clauses.extend([-z, lit] for lit in key)
+            self.clauses.extend([[-z, lit] for lit in key])
             self.clauses.append([z] + [-lit for lit in key])
         return z
 
-    def _cnfify(self, node) -> int:
+    def _cnfify(self, node, lowered: dict[int, int]) -> int:
         if isinstance(node, int):
             return node
-        kind, kids = node
-        lits = [self._cnfify(k) for k in kids]
-        if kind == "and":
-            return self._gate(lits)
-        return -self._gate([-lit for lit in lits])
+        if id(node) not in lowered:
+            kind, kids = node
+            lits = [self._cnfify(k, lowered) for k in kids]
+            lowered[id(node)] = self._gate(lits) if kind == "and" else -self._gate([-lit for lit in lits])
+        return lowered[id(node)]
 
-    def _node(self, plan, env: dict[str, int]):
-        if isinstance(plan, _Matrix):
-            return self._instance(plan, env)
-        if plan[0] in ("and", "or"):
+    def _node(self, plan, env: dict[str, int], memo: dict):
+        """The node of plan under env.  memo, kept for one encode, holds
+        the node of each matrix and quantified plan for each assignment of
+        its free variables, so a shared one is instanced once."""
+        matrix = isinstance(plan, _Matrix)
+        if not matrix and len(plan) == 2:
             kind, parts = plan
-            return _gather((self._node(p, env) for p in parts), kind == "and")
-        kind, var, body = plan
-        kids = (self._node(body, {**env, var: a}) for a in range(self.n))
-        return _gather(kids, kind == "forall")
+            return _gather((self._node(p, env, memo) for p in parts), kind == "and")
+        key = (id(plan), *[env[v] for v in (plan.vars if matrix else plan[3])])
+        node = memo.get(key)
+        if node is None and matrix:
+            node = memo[key] = self._instance(plan, env)
+        elif node is None:
+            kind, var, body, _ = plan
+            kids = (self._node(body, {**env, var: a}, memo) for a in range(self.n))
+            node = memo[key] = _gather(kids, kind == "forall")
+        return node
 
     def _instance(self, m: _Matrix, env: dict[str, int]):
-        # The pattern numbers the distinct elements in order of first use.
-        elems: dict[int, int] = {}
-        pattern = tuple(elems.setdefault(env[v], len(elems)) for v in m.vars)
+        # The pattern numbers the distinct elements in order of first use,
+        # and at lists them; two variables take no generator.
+        vs = m.vars
+        if len(vs) == 2 and env[vs[0]] != env[vs[1]]:
+            pattern, at = (0, 1), (env[vs[0]], env[vs[1]])
+        else:
+            at = tuple(dict.fromkeys([env[v] for v in vs]))
+            pattern = tuple([at.index(env[v]) for v in vs])
         t = m.templates.get(pattern)
         if t is None:
             t = _compile(m.formula, m.pol, dict(zip(m.vars, pattern)), self.sig)
             m.templates[pattern] = t
         if isinstance(t.top, bool):
             return t.top
-        at = tuple(elems)
         lit = [0]
         var, gate = self._var, self._gate
         for prefix, pos in t.atoms:
-            lit.append(var(prefix + tuple(at[p] for p in pos)))
+            lit.append(var(prefix + tuple([at[p] for p in pos])))
         for g in t.gates:
             lit.append(gate([lit[x] if x > 0 else -lit[-x] for x in g]))
         return _relabel(t.top, lit)

@@ -659,8 +659,8 @@ class OneType:
 
     sig: Signature = field(compare=False)
     bits: tuple[bool, ...] = ()
-    # formula(var) per variable, built once so that every formula that
-    # mentions this 1-type shares one conjunction.
+    # shared(key, build) per key: formula(var) per variable, built once so
+    # that every formula that mentions this 1-type shares one conjunction.
     _formulas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -687,9 +687,14 @@ class OneType:
         return tuple(a if bit else neg(a) for a, bit in zip(atoms, self.bits))
 
     def formula(self, var: str = "x") -> Formula:
-        f = self._formulas.get(var)
+        return self.shared(var, lambda: conj(self.literals(var)))
+
+    def shared(self, key, build: Callable[[], Formula]) -> Formula:
+        """build(), called once per key on this 1-type: every formula
+        built from the result shares one object."""
+        f = self._formulas.get(key)
         if f is None:
-            f = self._formulas[var] = conj(self.literals(var))
+            f = self._formulas[key] = build()
         return f
 
     def label(self) -> str:

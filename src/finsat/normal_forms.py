@@ -513,7 +513,11 @@ class BasicFormula:
 
     @cached_property
     def formula(self) -> Formula:
-        """The basic formula as a sentence, built once per object."""
+        """The basic formula as a sentence, built once per object.  The
+        pair kinds B1B-B5B read only beta below Forall x (a -> ...), so
+        their Forall y is kept once per (kind, beta), on beta, and shared by
+        every basic formula of that kind and beta: a grounding of the basic
+        set plans it once and instances it once per element."""
         k = self.kind
         a = self.alpha.formula("x") if self.alpha else None
         ay = self.alpha.formula("y") if self.alpha else None
@@ -555,7 +559,10 @@ class BasicFormula:
             return Exists("x", self.mu)
         else:  # pragma: no cover
             raise LogicError(f"bad kind {k!r}")
-        return Forall("x", Implies(a, Forall("y", body)))
+        inner = Forall("y", body)
+        if k in _ALPHA_BETA:
+            inner = self.beta.shared(k, lambda: inner)
+        return Forall("x", Implies(a, inner))
 
 
 def basic_set_formula(psis) -> Formula:

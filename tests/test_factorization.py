@@ -5,6 +5,7 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finsat.logic import DistKind, PreconditionError, Signature, enumerate_one_types, evaluate
 from finsat.factorization import (
@@ -282,3 +283,18 @@ def test_only_the_shared_invariant_check_tests_thinness_and_control():
     assert found == {"factorization.py:block_invariant_violation"}, (
         f"the block invariants are checked outside block_invariant_violation: {found}"
     )
+
+
+#: Nodes with gaps, one negative and one past 64 bits: no node equals its
+#: bit row index.
+SPARSE = (-7, 0, 3, 64, 65, 1000, 10**20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SPARSE), st.sampled_from(SPARSE)), max_size=30))
+@example([])
+@example([(3, 3)])
+@example([(0, 64), (64, -7), (-7, 0), (1000, 10**20)])
+def test_transitive_closure_matches_a_naive_fixpoint(pairs):
+    assert transitive_closure(pairs) == brute_closure(pairs)
+    assert transitive_closure(iter(pairs)) == brute_closure(pairs)

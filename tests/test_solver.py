@@ -27,11 +27,20 @@ from finsat.logic import (
     Structure,
     VerificationFailure,
     enumerate_nav,
+    enumerate_one_types,
     evaluate,
     pair_structure,
     subformulas,
 )
-from finsat.normal_forms import conjunct_parts, to_standard_nf, to_transitive_nf
+from finsat.normal_forms import (
+    BasicFormula,
+    BasicKind,
+    basic_set_formula,
+    conjunct_parts,
+    to_basic,
+    to_standard_nf,
+    to_transitive_nf,
+)
 from finsat.parsing import parse_formula, print_formula
 from finsat.solver import (
     BudgetExceeded,
@@ -416,6 +425,20 @@ def _unshared(f):
     return type(f)(f.var, _unshared(f.body))
 
 
+def _basic_sets():
+    """Two basic sets as (sentence, signature, basic formulas): the basic
+    compilation of an l2-1po-u input, and every pair-kind formula over the
+    1-types of (p, q; <), 5 kinds times 12 pairs of distinct 1-types."""
+    po = DIFF_SIGS["po"]
+    phi = parse_formula("forall x (p(x) -> exists y (x < y & q(y))) & exists x p(x)", po)
+    snf, sig1 = to_standard_nf(phi, po)
+    compiled, sig_star = to_basic(snf.to_weak(), sig1)
+    pair_kinds = (BasicKind.B1B, BasicKind.B2B, BasicKind.B3, BasicKind.B4, BasicKind.B5B)
+    types = enumerate_one_types(po)
+    pairs = [BasicFormula(k, alpha=a, beta=b) for k in pair_kinds for a, b in itertools.permutations(types, 2)]
+    return [(basic_set_formula(psis), sig, psis) for psis, sig in ((compiled, sig_star), (pairs, po))]
+
+
 def _shared_cases():
     res = cliquify(MIN_INF, TS, 1, EnumerationBudget(max_diatoms=100000))
     l2 = DIFF_SIGS["l2"]
@@ -424,6 +447,10 @@ def _shared_cases():
     for atom in ("p(x)", "p(y)", "r(y,x)", "r(x,x)") * 2:
         iff = f"{atom} <-> ({iff})"
     cases = [(res.snf.to_formula(), res.sig_hat), (parse_formula(f"forall x exists y ({iff})", l2), l2)]
+    # Here '<->' holds each quantified side under both polarities.
+    quantified = "forall x ((exists y (r(x,y) & p(y))) <-> (forall y (r(y,x) -> !p(y))))"
+    cases.append((parse_formula(quantified, l2), l2))
+    cases += [(phi, sig) for phi, sig, _ in _basic_sets()]
     cases += [(random_formula(seed, sig, depth=3), sig) for sig in DIFF_SIGS.values() for seed in range(20)]
     return cases
 
@@ -470,6 +497,45 @@ def test_grounding_reads_each_shared_subformula_once(monkeypatch):
     # Atoms stay shared in the copy, so only the memo on negations and
     # connectives tells the two apart: 8,774 folds against 20,871.
     assert 2 * seen[0] <= seen[1]
+
+
+def _record_compiles(monkeypatch) -> list:
+    """(id(matrix), polarity, pattern) of each _compile call from now on."""
+    calls = []
+    compile_ = ground._compile
+
+    def recorded(f, pol, env, sig):
+        calls.append((id(f), pol, tuple(sorted(env.items()))))
+        return compile_(f, pol, env, sig)
+
+    monkeypatch.setattr(ground, "_compile", recorded)
+    return calls
+
+
+def test_grounding_compiles_each_matrix_once_per_polarity_and_pattern(monkeypatch):
+    phi, sig, _ = _basic_sets()[0]
+    calls = _record_compiles(monkeypatch)
+    engine = GroundEngine(phi, sig)
+    for k in (2, 3):
+        assert engine.encode(k)
+    # With one matrix per occurrence, the 770 basic formulas compiled 2,306
+    # times for 1,790 distinct triples.
+    assert len(calls) == len(set(calls))
+
+
+def test_a_pair_kind_body_compiles_once_per_kind_and_beta(monkeypatch):
+    phi, sig, psis = _basic_sets()[1]
+    calls = _record_compiles(monkeypatch)
+    engine = GroundEngine(phi, sig)
+    for k in (2, 3):
+        engine.encode(k)
+    # Each formula is Forall x (alpha(x) -> Forall y body).
+    bodies = {id(psi.formula.body.right.body) for psi in psis}
+    shared = {(psi.kind, psi.beta) for psi in psis}
+    assert len(psis) == 60 and len(bodies) == len(shared) == 20
+    # One compile per body for x = y and one for x != y.
+    patterns = sorted(c[2] for c in calls if c[0] in bodies)
+    assert patterns == [(("x", 0), ("y", 0))] * 20 + [(("x", 0), ("y", 1))] * 20
 
 
 def test_grounded_search_branches_on_atoms_only(monkeypatch):
