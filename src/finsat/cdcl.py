@@ -1,7 +1,10 @@
 """A conflict-driven clause learning (CDCL) SAT solver.
 
 It knows nothing of formulas: the grounded engine in ground.py hands it
-clauses over integer literals and reads back an assignment.
+clauses over integer literals, and gate definitions as items (z, key)
+meaning z <-> AND(key), and reads back an assignment.  An item loads
+straight into the watch and implication lists, as its k + 1 clauses
+would, without the clauses ever being built.
 """
 
 from __future__ import annotations
@@ -42,14 +45,21 @@ class CDCL:
     DECAY = 0.95
 
     def __init__(
-        self, n_vars: int, clauses: list[list[int]], branch_on: Optional[Iterable[int]] = None
+        self, n_vars: int, clauses: list, branch_on: Optional[Iterable[int]] = None
     ) -> None:
-        """Load the clauses at decision level 0.  The solver takes the
-        clause lists over (it reorders their literals) and empties the
-        outer list as it goes, so no second copy is kept.  The search
-        branches only on the distinct variables in branch_on (every
-        variable by default); propagation must fix the others once these
-        are set, or solve raises VerificationFailure."""
+        """Load the clauses at decision level 0, last first.  An entry is
+        a clause, a list of literals, or a definition item (z, key) for
+        z <-> AND(key), key a tuple of two or more distinct literals
+        without z or -z.  An item loads as its clauses [-z, l] for each l
+        in key, then [z, -l1, ..., -lk], would in its place: the long
+        clause is watched on z and -l1, or left out if key holds a literal
+        and its negation; implied[-l] takes -z for each l, and implied[z]
+        takes key in reverse.  The solver takes the clause lists over (it
+        reorders their literals) and empties the outer list as it goes,
+        so no second copy is kept.  The search branches only on the
+        distinct variables in branch_on (every variable by default);
+        propagation must fix the others once these are set, or solve
+        raises VerificationFailure."""
         size = 2 * n_vars + 1
         self.val = [0] * size  # 1 true, -1 false, 0 unassigned
         self.watches: list[list[list[int]]] = [[] for _ in range(size)]
@@ -75,6 +85,19 @@ class CDCL:
         watches, implied, val = self.watches, self.implied, self.val
         while clauses:
             c = clauses.pop()
+            if type(c) is tuple:
+                z, key = c
+                nz = -z
+                long = [z]
+                for lit in key:
+                    lit = -lit
+                    long.append(lit)
+                    implied[lit].append(nz)
+                if set(key).isdisjoint(long):
+                    watches[z].append(long)
+                    watches[long[1]].append(long)
+                implied[z].extend(key[::-1])
+                continue
             if len(c) > 2:
                 lits = set(c)
                 if any(-lit in lits for lit in lits):

@@ -14,7 +14,10 @@ variables and re-hashes the gates; a pattern under which the matrix is
 constant costs nothing and creates no variables.  Every gate is an "and" of
 literals (an "or" is the negated "and" of the negated literals), keyed by
 its sorted literal set, so one distinct gate gets one variable per size
-searched, wherever it occurs.  Gate definitions are two-sided.
+searched, wherever it occurs.  Gate definitions are two-sided, and reach
+the solver as items (z, key), z <-> AND(key), in the clause list where
+their clauses would stand: the solver loads an item straight into its
+watch and implication lists, so the k + 1 clauses are never built.
 
 Grounding cost follows distinct nodes, not occurrences: a shared
 subformula is one object reached along several paths, as in cliquify's
@@ -281,12 +284,13 @@ def _holds(s: Structure, key: tuple) -> bool:
 
 
 def _relabel(node, lit: list[int]):
-    """A template's top node with local literals mapped through lit."""
+    """A template's top node with local literals mapped through lit,
+    which holds both signs."""
     if isinstance(node, int):
-        return lit[node] if node > 0 else -lit[-node]
+        return lit[node]
     kind, kids = node
     if kind == "or":
-        return (kind, [lit[k] if k > 0 else -lit[-k] for k in kids])
+        return (kind, [lit[k] for k in kids])
     return (kind, [_relabel(k, lit) for k in kids])
 
 
@@ -332,14 +336,15 @@ class GroundEngine:
 
     def encode(self, n: int) -> bool:
         """Fill clauses and var_of (atom key -> variable) for domain size
-        n; False if the formula is false outright.
+        n; False if the formula is false outright.  clauses holds clause
+        lists and the definition items (z, key) of the gates.
 
         The root is asserted, not named: conjunctions split into separate
         constraints and a disjunction becomes one clause."""
         self.n = n
         self.var_of: dict[tuple, int] = {}
         self.gate_of: dict[tuple[int, ...], int] = {}
-        self.clauses: list[list[int]] = []
+        self.clauses: list = []
         self.n_vars = 0
         root = self._node(self.plan, {}, {})
         if isinstance(root, bool):
@@ -353,7 +358,7 @@ class GroundEngine:
             elif node[0] == "and":
                 stack.extend(node[1])
             else:
-                self.clauses.append([self._cnfify(k, lowered) for k in node[1]])
+                self.clauses.append([k if type(k) is int else self._cnfify(k, lowered) for k in node[1]])
         self._axioms()
         return True
 
@@ -366,26 +371,26 @@ class GroundEngine:
         return v
 
     def _gate(self, lits) -> int:
-        """The variable of the "and" of lits, defined on first use."""
+        """The literal of the "and" of lits."""
         key = tuple(sorted(set(lits)))
-        if len(key) == 1:
-            return key[0]
+        return key[0] if len(key) == 1 else self._define(key)
+
+    def _define(self, key: tuple[int, ...]) -> int:
+        """The variable of the "and" of key, sorted distinct literals, at
+        least two; defined on first use by the item (z, key)."""
         z = self.gate_of.get(key)
         if z is None:
             # Full two-sided definitions: the weaker one-sided variant is
             # sound here but propagates too little for unsatisfiable cores.
             self.n_vars += 1
             z = self.gate_of[key] = self.n_vars
-            self.clauses.extend([[-z, lit] for lit in key])
-            self.clauses.append([z] + [-lit for lit in key])
+            self.clauses.append((z, key))
         return z
 
     def _cnfify(self, node, lowered: dict[int, int]) -> int:
-        if isinstance(node, int):
-            return node
         if id(node) not in lowered:
             kind, kids = node
-            lits = [self._cnfify(k, lowered) for k in kids]
+            lits = [k if type(k) is int else self._cnfify(k, lowered) for k in kids]
             lowered[id(node)] = self._gate(lits) if kind == "and" else -self._gate([-lit for lit in lits])
         return lowered[id(node)]
 
@@ -422,12 +427,17 @@ class GroundEngine:
             m.templates[pattern] = t
         if isinstance(t.top, bool):
             return t.top
-        lit = [0]
-        var, gate = self._var, self._gate
-        for prefix, pos in t.atoms:
-            lit.append(var(prefix + tuple([at[p] for p in pos])))
-        for g in t.gates:
-            lit.append(gate([lit[x] if x > 0 else -lit[-x] for x in g]))
+        # lit[x] for each local literal x, both signs: lit[-x] sits at the
+        # far end.  The atom map is injective, so a gate's mapped
+        # literals are distinct and need no set.
+        lit = [0] * (2 * (len(t.atoms) + len(t.gates)) + 1)
+        var, define = self._var, self._define
+        for x, (prefix, pos) in enumerate(t.atoms, 1):
+            v = lit[x] = var(prefix + tuple([at[p] for p in pos]))
+            lit[-x] = -v
+        for x, g in enumerate(t.gates, len(t.atoms) + 1):
+            v = lit[x] = define(tuple(sorted([lit[y] for y in g])))
+            lit[-x] = -v
         return _relabel(t.top, lit)
 
     def _axioms(self) -> None:

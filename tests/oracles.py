@@ -311,6 +311,21 @@ def cnf_satisfiable(n_vars: int, clauses) -> bool:
     return alive != 0
 
 
+def expand_definitions(clauses) -> list[list[int]]:
+    """The clauses with each definition item (z, key), z <-> AND(key),
+    written out as its two-sided definition: [-z, l] for each l in key,
+    then [z, -l1, ..., -lk]."""
+    out = []
+    for c in clauses:
+        if isinstance(c, tuple):
+            z, key = c
+            out += [[-z, lit] for lit in key]
+            out.append([z] + [-lit for lit in key])
+        else:
+            out.append(list(c))
+    return out
+
+
 def unit_propagate(clauses) -> dict[int, bool] | None:
     """The values that unit propagation forces on the clauses' variables,
     or None when it reaches a clause with every literal false.  A plain

@@ -60,6 +60,7 @@ from fixtures import MIN_INF, TS, rewrite_cases
 from oracles import (
     all_structures,
     cnf_satisfiable,
+    expand_definitions,
     expansion_by_enumeration,
     naive_eval,
     unit_propagate,
@@ -302,11 +303,12 @@ def _check_grounding(phi, sig, k, structures) -> set[bool]:
             assert not holds
             continue
         units = [[v if _atom_holds(s, key) else -v] for key, v in engine.var_of.items()]
-        fixed = unit_propagate(engine.clauses + units)
+        clauses = expand_definitions(engine.clauses)
+        fixed = unit_propagate(clauses + units)
         assert (fixed is not None) == holds
         if fixed is not None:
             assert len(fixed) == engine.n_vars
-            assert all(any(fixed[abs(lit)] == (lit > 0) for lit in c) for c in engine.clauses)
+            assert all(any(fixed[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
     return seen
 
 
@@ -605,33 +607,86 @@ def test_cdcl_refutes_pigeonhole():
     assert cdcl.conflicts > 2 * CDCL.RESTART_UNIT  # so it has restarted
 
 
-def _circuit(seed: int) -> tuple[int, int, list[list[int]]]:
-    """A random circuit as a Tseitin CNF: inputs 1..n_in, then gates, each
-    the two-sided definition of an "and" or "or" of earlier literals, then
-    a few random clauses over the gates.  Returns (n_in, n_vars, clauses)."""
+def _circuit(seed: int) -> tuple[int, int, list]:
+    """A random circuit: inputs 1..n_in, then gates, each the definition
+    item (z, lits), z <-> AND(lits), of an "and" or "or" of earlier
+    literals, then a few random clauses over the gates.  Returns (n_in,
+    n_vars, items); expand_definitions gives its Tseitin CNF."""
     rng = random.Random(seed)
     n_in, n_vars = rng.randint(3, 6), rng.randint(9, 15)
-    clauses = []
+    items = []
     for z in range(n_in + 1, n_vars + 1):
         lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, z), rng.randint(2, 3))]
         if rng.random() < 0.5:  # z is the "or" of lits: -z is the "and" of their negations
             z, lits = -z, [-lit for lit in lits]
-        clauses += [[-z, lit] for lit in lits]
-        clauses.append([z] + [-lit for lit in lits])
+        items.append((z, tuple(lits)))
     gates = range(n_in + 1, n_vars + 1)
     for _ in range(rng.randint(1, 4)):
-        clauses.append([v if rng.random() < 0.5 else -v for v in rng.sample(gates, rng.randint(1, 3))])
-    return n_in, n_vars, clauses
+        items.append([v if rng.random() < 0.5 else -v for v in rng.sample(gates, rng.randint(1, 3))])
+    return n_in, n_vars, items
 
 
 def test_cdcl_branching_on_inputs_only_is_complete():
     answers = set()
     for seed in range(300):
-        n_in, n_vars, clauses = _circuit(seed)
+        n_in, n_vars, items = _circuit(seed)
+        clauses = expand_definitions(items)
         sat = _cdcl(n_vars, clauses, branch_on=range(1, n_in + 1)) is not None
         assert sat == cnf_satisfiable(n_vars, clauses), f"seed {seed}"
         answers.add(sat)
     assert answers == {True, False}
+
+
+def _loaded(n_vars, items, branch_on=None) -> CDCL:
+    """A solver loaded with copies of items: clause lists copied, definition
+    items as they are."""
+    return CDCL(n_vars, [c if isinstance(c, tuple) else list(c) for c in items], branch_on)
+
+
+def test_cdcl_loads_definition_items_as_their_clauses():
+    for seed in range(300):
+        n_in, n_vars, items = _circuit(seed)
+        clauses = expand_definitions(items)
+        sat = cnf_satisfiable(n_vars, clauses)
+        runs = []
+        for given in (items, clauses):
+            cdcl = _loaded(n_vars, given, range(1, n_in + 1))
+            loaded = ([[list(c) for c in w] for w in cdcl.watches], [list(i) for i in cdcl.implied])
+            assignment = cdcl.solve(10**6)
+            assert (assignment is not None) == sat, f"seed {seed}"
+            if assignment is not None:
+                assert all(any(assignment[lit] == 1 for lit in c) for c in clauses)
+                assignment = list(assignment)
+            runs.append((loaded, assignment, cdcl.decisions, cdcl.conflicts))
+        assert runs[0] == runs[1], f"seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "items, sat",
+    [
+        ([(3, (1, 2))], True),  # width 2
+        ([(3, (1, 2)), [1], [2], [-3]], False),
+        ([(-3, (-1, -2)), [-1], [3]], True),  # an "or" gate
+        ([(3, (-1, 2)), [3], [1]], False),
+        ([(3, (-2, 1, 2)), [1]], True),  # a literal and its negation
+        ([(3, (-2, 1, 2)), [3]], False),
+    ],
+)
+def test_cdcl_loads_degenerate_definition_items(items, sat):
+    clauses = expand_definitions(items)
+    cdcl, written = _loaded(3, items), _loaded(3, clauses)
+    assert cdcl.watches == written.watches and cdcl.implied == written.implied
+    assert (cdcl.solve(100) is not None) == sat == cnf_satisfiable(3, clauses)
+
+
+def test_cdcl_keeps_no_long_clause_for_a_gate_on_a_literal_and_its_negation():
+    cdcl = CDCL(3, [(3, (-2, 1, 2))])
+    assert not any(cdcl.watches)
+    assert cdcl.implied[3] == [2, 1, -2]
+    # z is forced false: no assignment of the inputs makes it true.
+    for units in itertools.product((1, -1), (2, -2)):
+        assignment = CDCL(3, [(3, (-2, 1, 2))] + [[u] for u in units]).solve(10)
+        assert assignment[3] == -1
 
 
 def test_cdcl_refuses_a_variable_nothing_fixes():
