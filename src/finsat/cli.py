@@ -37,7 +37,6 @@ from .normal_forms import (
     to_basic,
     to_standard_nf,
     to_transitive_nf,
-    weak_to_standard,
 )
 from .resolution import to_spread
 from .solver import LOGIC_DIST, SearchBudget, decide, find_expansion, random_formula, random_structure
@@ -153,7 +152,7 @@ def cmd_verify_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
+def cmd_factorize(args: argparse.Namespace) -> int:
     s = read_structure(_read(args.structure))
     tpo = TypedPartialOrder.from_structure(s)
     if args.formula:
@@ -169,8 +168,7 @@ def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
         fact = factorize_for(tpo, psis)
     else:
         fact = trivial_factorization(tpo)
-    fmt = fmt or args.format
-    if fmt == "dot":
+    if args.format == "dot":
         print(export_factorization_dot(fact), end="")
     else:
         for i, block in enumerate(fact.blocks):
@@ -179,10 +177,6 @@ def cmd_factorize(args: argparse.Namespace, fmt: Optional[str] = None) -> int:
         for i, j in sorted(fact.covers()):
             print(f"  {i} << {j}")
     return EXIT_OK
-
-
-def cmd_dot(args: argparse.Namespace) -> int:
-    return cmd_factorize(args, fmt="dot")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -242,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", help="optional formula file steering the factorization")
     p.add_argument("--format", choices=("text", "dot"), default="text")
     p.set_defaults(fn=cmd_factorize)
-
-    p = sub.add_parser("dot", help="factorization as DOT")
-    p.add_argument("structure")
-    p.add_argument("--formula")
-    p.set_defaults(fn=cmd_dot, format="dot")
 
     p = sub.add_parser("gen", help="random fixtures")
     common(p, formula=False)

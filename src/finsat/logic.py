@@ -113,15 +113,6 @@ class Signature:
         """Bit position of each of one_type_keys() in a 1-type."""
         return {key: i for i, key in enumerate(self._one_type_keys)}
 
-    def arity(self, name: str) -> int:
-        if name in self.unary:
-            return 1
-        if name in self.binary:
-            return 2
-        if name == self.dist_name:
-            return 2
-        raise SignatureMismatchError(f"unknown predicate {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -302,21 +293,54 @@ def rewrite(f: Formula, fn: Callable[[Formula], Optional[Formula]]) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every node occurrence of f in pre-order, f first; a shared subtree
-    is yielded once per occurrence."""
+    """Each distinct node of f once, by identity, in pre-order of first
+    visit, f first: a shared subtree is walked once however often it
+    occurs.  occurrences walks every occurrence."""
+    seen: set[int] = set()
     stack = [f]
     while stack:
         g = stack.pop()
+        key = id(g)
+        if key in seen:
+            continue
+        seen.add(key)
         yield g
-        if isinstance(g, (And, Or)):
+        t = type(g)
+        if t is Atom or t is Eq:
+            continue
+        if t is And or t is Or:
             stack.extend(reversed(g.subs))
-        elif isinstance(g, Implies):
-            stack += (g.right, g.left)
-        elif isinstance(g, Not):
+        elif t is Not:
             stack.append(g.sub)
-        elif isinstance(g, (Forall, Exists)):
+        elif t is Forall or t is Exists:
             stack.append(g.body)
-        elif not isinstance(g, (Atom, Eq)):
+        elif t is Implies:
+            stack += (g.right, g.left)
+        else:
+            raise LogicError(f"bad formula node {g!r}")
+
+
+def occurrences(f: Formula) -> Iterator[tuple[Formula, bool, Optional[str]]]:
+    """Every node occurrence of f in pre-order, f first, as (node,
+    positive, binder): positive is false under an odd number of negations
+    and implication antecedents, and binder is the variable of the nearest
+    quantifier above the occurrence, None at the top."""
+    stack: list = [(f, True, None)]
+    while stack:
+        g, pos, binder = item = stack.pop()
+        yield item
+        t = type(g)
+        if t is Atom or t is Eq:
+            continue
+        if t is And or t is Or:
+            stack.extend((h, pos, binder) for h in reversed(g.subs))
+        elif t is Not:
+            stack.append((g.sub, not pos, binder))
+        elif t is Forall or t is Exists:
+            stack.append((g.body, pos, g.var))
+        elif t is Implies:
+            stack += ((g.right, pos, binder), (g.left, not pos, binder))
+        else:
             raise LogicError(f"bad formula node {g!r}")
 
 
@@ -419,7 +443,7 @@ def formula_size(f: Formula) -> int:
         else 3 if isinstance(g, Eq)
         else 2 if isinstance(g, (Forall, Exists))
         else 1
-        for g in subformulas(f)
+        for g, _, _ in occurrences(f)
     )
 
 

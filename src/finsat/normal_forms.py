@@ -30,7 +30,6 @@ from .logic import (
     Formula,
     Implies,
     LogicError,
-    Not,
     OneType,
     Or,
     PreconditionError,
@@ -46,8 +45,10 @@ from .logic import (
     free_vars,
     is_quantifier_free,
     neg,
+    occurrences,
     rewrite,
     simplify,
+    subformulas,
     substitute,
     swap_xy,
     t_rel,
@@ -86,41 +87,20 @@ def strip_distinct_eq(f: Formula) -> Formula:
     return rewrite(f, fn)
 
 
-def _matrix_only(g: Formula) -> None:
-    if isinstance(g, (Forall, Exists)):
-        raise LogicError("quantifier inside a matrix formula")
-
-
 def _check_matrix(f: Formula, what: str) -> set[Atom]:
     """Reject quantifiers, equality atoms and variables other than x and y
-    in a normal-form matrix, and return its atoms.
-
-    The walk is iterative and visits each shared subformula once.
-    """
+    in a normal-form matrix, and return its atoms.  Each shared subformula
+    is checked once."""
     atoms: set[Atom] = set()
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
+    for g in subformulas(f):
         if isinstance(g, Atom):
             if not set(g.args) <= {"x", "y"}:
                 raise LogicError(f"{what} must mention only the variables x and y")
             atoms.add(g)
-        elif isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, (And, Or)):
-            stack.extend(g.subs)
-        elif isinstance(g, Implies):
-            stack += (g.left, g.right)
         elif isinstance(g, Eq):
             raise LogicError(f"{what} must be equality-free")
         elif isinstance(g, (Forall, Exists)):
             raise LogicError(f"{what} must be quantifier-free")
-        else:
-            raise LogicError(f"bad formula node {g!r}")
     return atoms
 
 
@@ -247,70 +227,8 @@ def _orient(f: Formula, u: str, v: str) -> Formula:
     return swap_xy(f)
 
 
-def _find_single_positive_exists(f: Formula, positive: bool = True):
-    """Locate the unique positively occurring existential in an otherwise
-    quantifier-free formula; None if the shape does not apply."""
-    if isinstance(f, Exists):
-        return (f, positive) if is_quantifier_free(f.body) else None
-    if isinstance(f, (Atom, Eq)):
-        return "qf"
-    if isinstance(f, Not):
-        inner = _find_single_positive_exists(f.sub, not positive)
-        return inner
-    if isinstance(f, Implies):
-        hits = [
-            _find_single_positive_exists(f.left, not positive),
-            _find_single_positive_exists(f.right, positive),
-        ]
-        return _merge_hits(hits)
-    if isinstance(f, (And, Or)):
-        hits = [_find_single_positive_exists(s, positive) for s in f.subs]
-        return _merge_hits(hits)
-    if isinstance(f, Forall):
-        return None
-    raise LogicError(f"bad formula node {f!r}")
-
-
-def _merge_hits(hits):
-    found = None
-    for h in hits:
-        if h is None:
-            return None
-        if h == "qf":
-            continue
-        if found is not None:
-            return None
-        found = h
-    return found if found is not None else "qf"
-
-
 def _replace_subformula(f: Formula, target: Formula, replacement: Formula) -> Formula:
     return rewrite(f, lambda g: replacement if g == target else None)
-
-
-def _innermost_quantified(f: Formula, binder: Optional[str] = None):
-    """Deepest quantified subformula with quantifier-free body, plus the
-    variable of the nearest enclosing binder at its occurrence."""
-    if isinstance(f, (Atom, Eq)):
-        return None
-    if isinstance(f, Not):
-        return _innermost_quantified(f.sub, binder)
-    if isinstance(f, (And, Or)):
-        for s in f.subs:
-            hit = _innermost_quantified(s, binder)
-            if hit:
-                return hit
-        return None
-    if isinstance(f, Implies):
-        return _innermost_quantified(f.left, binder) or _innermost_quantified(
-            f.right, binder
-        )
-    if isinstance(f, (Forall, Exists)):
-        hit = _innermost_quantified(f.body, f.var)
-        if hit:
-            return hit
-        return (f, binder)
-    raise LogicError(f"bad formula node {f!r}")
 
 
 def conjunct_parts(g: Formula) -> Optional[list[tuple[str, Formula]]]:
@@ -355,17 +273,18 @@ def conjunct_parts(g: Formula) -> Optional[list[tuple[str, Formula]]]:
             return [("witness", _distinct(conj(tuple(s for s in oriented.subs if s not in distinct))))]
         self_wit = simplify(substitute(oriented, {"y": "x"}))
         return [("witness", _distinct(Or((strip_distinct_eq(oriented), self_wit))))]
-    hit = _find_single_positive_exists(body)
-    if hit in (None, "qf") or not hit[1] or hit[0].var == u:
+    # One existential, occurring positively and binding the other variable,
+    # in an otherwise quantifier-free body.
+    quantified = [(h, pos) for h, pos, _ in occurrences(body) if isinstance(h, (Forall, Exists))]
+    if len(quantified) != 1:
         return None
-    ex = hit[0]
+    ((ex, positive),) = quantified
+    if not positive or isinstance(ex, Forall) or ex.var == u:
+        return None
     marker = Atom("_hole_", ())
-    ctx = _replace_subformula(body, ex, marker)
-    if not is_quantifier_free(_replace_subformula(ctx, marker, TRUE)):
-        return None
     chi_xy = _orient(ex.body, u, ex.var)
     chi_self = simplify(substitute(chi_xy, {"y": "x"}))
-    ctx_xy = _orient(ctx, u, ex.var)
+    ctx_xy = _orient(_replace_subformula(body, ex, marker), u, ex.var)
     return [("witness", _distinct(_replace_subformula(ctx_xy, marker, Or((chi_xy, chi_self)))))]
 
 
@@ -391,7 +310,16 @@ def _scott_conjunct(g: Formula, sig_taken: set[str], parts: _Parts) -> None:
                 else:
                     (parts.thetas if kind == "witness" else parts.eta).append(f)
             return
-        hit = _innermost_quantified(g)
+        # The first quantifier with a quantifier-free body, and the
+        # variable of its nearest binder.
+        hit = next(
+            (
+                (h, binder)
+                for h, _, binder in occurrences(g)
+                if isinstance(h, (Forall, Exists)) and is_quantifier_free(h.body)
+            ),
+            None,
+        )
         if hit is None:
             raise LogicError(f"cannot normalize conjunct {g!r}")
         psi, binder = hit
@@ -589,10 +517,10 @@ def _eval_literals(
     nav: Optional[dict],
 ) -> Formula:
     """Replace unary literals by their truth under the given 1-types and
-    navigational atoms per the nav table; everything else is kept."""
+    navigational atoms per the nav table; everything else is kept.  f is a
+    matrix, which WeakNF has checked quantifier-free."""
 
     def fn(g: Formula) -> Optional[Formula]:
-        _matrix_only(g)
         if not isinstance(g, Atom):
             return None
         if g.pred in sig.unary:
@@ -802,10 +730,9 @@ _T_SUBST = {
 
 def _substitute_cross_t(f: Formula, s: str) -> Formula:
     """Replace cross atoms of t by their truth under the derived relation s;
-    diagonal t atoms stay."""
+    diagonal t atoms stay.  f is a matrix StandardNF has checked."""
 
     def fn(g: Formula) -> Optional[Formula]:
-        _matrix_only(g)
         return _T_SUBST[s].get((g.pred, g.args), g) if isinstance(g, Atom) else None
 
     return rewrite(f, fn)

@@ -36,6 +36,14 @@ MIN_INF = TransitiveNF(
     thetas=(tuple(parse_formula(t, TS) for t in ("false", "true", "false", "false")),),
 )
 
+#: A TS sentence whose search runs out of a small node budget whichever
+#: engine searches it.  The typed engine runs out of 10 nodes, and of 50, at
+#: every size from 2.  The grounded engine, given the sentence, settles
+#: sizes 2-3 within 10 decisions and sizes 2-4 within 50, and runs out at
+#: the next size; given its transitive normal form, it runs out of 50 at
+#: size 2.
+BUDGET_OUT = "forall x exists y (t(x,y) & !t(y,x) & b(y)) & exists x (a(x) & !t(x,x))"
+
 
 #: One signature per kind: plain with a binary, partial order with two
 #: unaries, transitive, and partial order with a binary.

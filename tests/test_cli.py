@@ -11,13 +11,10 @@ from finsat.parsing import parse_formula
 from finsat.solver import SearchBudget
 from finsat.verify import pipeline_verify
 
+from fixtures import BUDGET_OUT
+from oracles import dot_is_wellformed
+
 AXIOM = "forall x !t(x,x) & forall x exists y t(x,y)"
-# A 50-node budget runs out at size 2 under both commands.  decide sends
-# the formula to the typed engine, which takes 162 nodes there.
-# verify-pipeline searches its transitive normal form on the grounded
-# engine, which takes 91 decisions there.  The grounded engine would
-# settle the formula itself in 1, 8 and 25 decisions at sizes 2-4.
-BUDGET_OUT = "forall x exists y (t(x,y) & !t(y,x) & b(y)) & exists x (a(x) & !t(x,x))"
 
 
 @pytest.fixture
@@ -44,7 +41,7 @@ def test_axiom_of_infinity_has_no_model_up_to_the_bound(formula_file):
 @pytest.mark.parametrize("command", ["decide", "verify-pipeline"])
 def test_budget_out_exits_2(command, formula_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "SearchBudget", functools.partial(SearchBudget, node_limit=50))
-    args = [command, "--logic", "l2-1t", "--unary", "a,b", "--bound", "3", formula_file(BUDGET_OUT)]
+    args = [command, "--logic", "l2-1t", "--unary", "a,b", "--bound", "8", formula_file(BUDGET_OUT)]
     assert cli.main(args) == cli.EXIT_UNKNOWN == 2
     assert "exceeded 50 nodes" in capsys.readouterr().out
 
@@ -89,6 +86,14 @@ def test_pipeline_verify_reports_a_budget_out_as_unknown():
     assert report.ok
     assert report.stages[-1].status == "unknown"
     assert "[?   ] pipeline -- grounded search exceeded 50 nodes" in report.render()
+
+
+def test_factorize_prints_dot_and_the_dot_command_is_gone(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text(FACTOR_MODEL)
+    assert cli.main(["factorize", str(tmp_path / "s.txt"), "--format", "dot"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert dot_is_wellformed(out)
+    assert cli.main(["dot", str(tmp_path / "s.txt")]) == cli.EXIT_USAGE
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from finsat.logic import (
     Eq,
     Exists,
     Forall,
+    Implies,
     LogicError,
     Not,
     OneType,
@@ -30,6 +31,7 @@ from finsat.logic import (
     evaluate,
     free_vars,
     is_quantifier_free,
+    occurrences,
     one_type_of,
     order_violations,
     pair_structure,
@@ -317,6 +319,30 @@ def test_eval_unary_on_type_agrees_with_one_type_of():
     assert seen > 100
 
 
+def test_subformulas_yield_each_shared_node_once_occurrences_each_occurrence():
+    a = Atom("p", ("x",))
+    f = And((a, a))
+    assert list(subformulas(f)) == [f, a]
+    assert list(occurrences(f)) == [(f, True, None), (a, True, None), (a, True, None)]
+
+
+def test_occurrences_carry_polarity_and_nearest_binder():
+    p, r = Atom("p", ("x",)), Atom("r", ("x", "y"))
+    inner = Exists("y", Not(r))
+    body = Implies(Not(p), Forall("x", inner))
+    f = Forall("x", body)
+    assert list(occurrences(f)) == [
+        (f, True, None),
+        (body, True, "x"),
+        (Not(p), False, "x"),  # an antecedent flips polarity
+        (p, True, "x"),  # and a negation flips it back
+        (body.right, True, "x"),
+        (inner, True, "x"),  # the binder above is the inner forall x
+        (Not(r), True, "y"),
+        (r, False, "y"),
+    ]
+
+
 def test_eval_unary_on_type_errors():
     tp = one_type_of(Structure(TR, 2, {}, {}, frozenset({(0, 0)})), 0)
     assert eval_unary_on_type(Atom("t", ("x", "x")), tp)
@@ -327,20 +353,18 @@ def test_eval_unary_on_type_errors():
 
 
 #: The functions that may test for a Not node (see _tests_for_not): the formula
-#: rewriter and iterator, and the walkers that are hot or need their own
-#: shape (polarity, sharing, printing).  Any other formula walk goes
-#: through logic.rewrite or logic.subformulas.
+#: rewriter and two iterators, and the walkers that are hot or need their
+#: own shape (polarity, sharing, printing).  Any other formula walk goes
+#: through logic.rewrite, logic.subformulas or logic.occurrences.
 NOT_BRANCHES = {
     "cnf.walk",
     "free_vars",
     "neg",
+    "occurrences",
     "rewrite",
     "simplify",
     "subformulas",
-    "_check_matrix",
-    "_find_single_positive_exists",
     "_fold",
-    "_innermost_quantified",
     "_plan",
     "_print",
     "tarski.holds",
@@ -407,4 +431,4 @@ def test_only_listed_functions_branch_on_negation():
         for name in _not_branches(ast.parse(path.read_text())):
             found.setdefault(name, path.name)
     unlisted = {name: where for name, where in found.items() if name not in NOT_BRANCHES}
-    assert not unlisted, f"new Not-testing ladders: {unlisted}; use logic.rewrite or logic.subformulas"
+    assert not unlisted, f"new Not-testing ladders: {unlisted}; use logic.rewrite, logic.subformulas or logic.occurrences"

@@ -77,6 +77,13 @@ CONJUNCT_SHAPES = [
     # Two positive existentials, and a quantifier in a consequent.
     ("forall x (exists y r(x,y) & exists y r(y,x))", None),
     ("forall x (p(x) -> forall y r(x,y))", None),
+    # The existential must occur positively: not in an antecedent, not
+    # under one negation, but under two.
+    ("forall x (exists y r(x,y) -> p(x))", None),
+    ("forall x (p(x) | !exists y r(x,y))", None),
+    ("forall x !(p(x) & !exists y r(x,y))", [("witness", "!(p(x) & !(r(x, y) | r(x, x)))")]),
+    # An existential that rebinds the outer variable.
+    ("forall x (exists x r(x,x) | p(x))", None),
 ]
 
 
@@ -116,6 +123,14 @@ def test_antichain_standard_nf_matches_direct_sat_verdicts():
     for k in (2, 3, 4):
         assert not sat_at(snf.to_formula(), sig2, k)
         assert not sat_at(antichain_formula(), POU, k)
+
+
+def test_closed_subformula_marker_sits_on_the_nearest_binder():
+    # exists x q(x) is closed; its marker d0 takes the variable of the
+    # nearest quantifier above it, forall y.
+    phi = parse_formula("forall x forall y (r(x,y) | exists x q(x))", L2)
+    snf, _ = to_standard_nf(phi, L2)
+    assert "r(x, y) | d0(y)" in [print_formula(g) for g in snf.eta.subs]
 
 
 def test_nested_quantification_uses_fresh_definitions():

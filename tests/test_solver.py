@@ -56,7 +56,7 @@ from finsat.solver import (
     _subst_t_top,
 )
 
-from fixtures import MIN_INF, TS, rewrite_cases
+from fixtures import BUDGET_OUT, MIN_INF, TS, rewrite_cases
 from oracles import (
     all_structures,
     cnf_satisfiable,
@@ -107,7 +107,7 @@ def test_decide_no_model_up_to_the_bound():
 
 def test_decide_budget_out_is_unknown():
     budget = SearchBudget(max_size=4, node_limit=10)
-    out = decide(parse_formula(AXIOM, T0), T0, "l2-1t", budget)
+    out = decide(parse_formula(BUDGET_OUT, TS), TS, "l2-1t", budget)
     assert out.kind == "unknown" and "10 nodes" in out.report
 
 
