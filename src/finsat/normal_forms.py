@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .logic import (
     And,
@@ -41,6 +41,7 @@ from .logic import (
     disj,
     enumerate_one_types,
     eq,
+    evaluate,
     formula_predicates,
     free_vars,
     is_quantifier_free,
@@ -551,8 +552,50 @@ _UNIVERSAL_SHAPES = {
 MAX_BASIC_FORMULAS = 32_768
 
 
+_DIRECTIONS = ("lt", "gt", "sim")
+_WITNESS_KINDS = {"lt": BasicKind.B6, "gt": BasicKind.B7, "sim": BasicKind.B8}
+
+
+def _direction_labels(w: WeakNF, sig: Signature) -> tuple[dict[tuple[int, str], str], Signature]:
+    """to_basic's 3m fresh labels by (witness conjunct, direction), and the
+    signature they extend sig to."""
+    labels = fresh_names(sig, "p", 3 * w.multiplicity)
+    label_of = {
+        (h, d): labels[3 * h + i]
+        for h in range(w.multiplicity)
+        for i, d in enumerate(_DIRECTIONS)
+    }
+    return label_of, sig.with_unary(labels)
+
+
+def label_witnesses(w: WeakNF, model: Structure) -> Structure:
+    """The expansion of a model of w to to_basic's signature in which an
+    element a carries the label of witness conjunct h and direction d
+    exactly when some b != a lies in direction d from a and satisfies
+    theta_h(a, b).  No search: the labels are read off the model.
+
+    With T its own 1-types, it satisfies to_basic(w, sig, T).  B9 holds
+    because w gives every element a witness.  For B6 (B7) at a, take a
+    maximal (minimal) element c of a's 1-type at or above (below) a: c
+    carries the label, so it has a theta_h-witness b in that direction, and
+    b lies beyond a, is not of a's 1-type, and serves a as it serves c,
+    because theta_h reads only the two 1-types over sig and the direction.
+    B8, B10 and the universal shapes hold directly; eta mentions no label.
+    """
+    label_of, sig_star = _direction_labels(w, model.sig)
+    labelled = {label: set() for label in label_of.values()}
+    for a, b in itertools.permutations(model.domain(), 2):
+        d = "lt" if (a, b) in model.dist else "gt" if (b, a) in model.dist else "sim"
+        for h, theta in enumerate(w.thetas):
+            if evaluate(model, theta, {"x": a, "y": b}):
+                labelled[label_of[h, d]].add(a)
+    unary = dict(model.unary)
+    unary.update((label, frozenset(ext)) for label, ext in labelled.items())
+    return Structure(sig_star, model.size, unary, model.binary, model.dist)
+
+
 def to_basic(
-    w: WeakNF, sig: Signature
+    w: WeakNF, sig: Signature, types: Optional[Iterable[OneType]] = None
 ) -> tuple[tuple[BasicFormula, ...], Signature]:
     """Compile a weak-normal-form unary partial-order formula into a
     conjunction of basic formulas over a signature with 3m fresh direction
@@ -565,12 +608,21 @@ def to_basic(
     instantiated per pair of 1-types and classified into the universal
     shapes.
 
+    types, 1-types over the compiled signature (label_witnesses gives them
+    from a model), compiles relative to the set T of them: the witness
+    shapes only for members of T, the universal shapes only for pairs of
+    them, and one more B9 conjunct, forall x OR_{alpha in T} alpha(x).
+    Under that conjunct every omitted formula is vacuous, so the result
+    implies the full compilation.  Without types every 1-type is used.
+
     Before any 1-type or basic formula is built, the basic formulas to
-    build are counted: |Z| + m + 3m * 2**(k-1) over k compiled bits, plus
-    |A| * |B| for each pair of eta-projection classes A, B whose universal
-    shape constrains anything (the output keeps one copy of each universal
-    one).  Past MAX_BASIC_FORMULAS this raises EnumerationBudgetError; the
-    universal part is not counted when the rest is already past it.
+    build are counted: |Z| + m, plus one for T, plus the witness shapes
+    (3m * 2**(k-1) over k compiled bits, or one per label a member of T
+    carries), plus |A| * |B| for each pair of eta-projection classes A, B
+    (of all 1-types, or of T) whose universal shape constrains anything
+    (the output keeps one copy of each universal one).  Past
+    MAX_BASIC_FORMULAS this raises EnumerationBudgetError; the universal
+    part is not counted when the rest is already past it.
     """
     if sig.dist is not DistKind.PARTIAL_ORDER or sig.binary:
         raise PreconditionError("basic compilation needs a unary partial-order signature")
@@ -578,36 +630,45 @@ def to_basic(
     if used - set(sig.unary) - {"<", "~"}:
         raise PreconditionError(f"formula mentions predicates outside the signature: {sorted(used - set(sig.unary) - {'<', '~'})}")
     m = w.multiplicity
-    labels = fresh_names(sig, "p", 3 * m)
-    sig_star = sig.with_unary(labels)
+    label_of, sig_star = _direction_labels(w, sig)
     k = len(sig_star.unary)
     # The instantiated universal constraint depends only on the 1-type bits
     # of predicates occurring in eta: classify once per pair of projection
     # classes, on the first 1-type of each, and emit per pair of members.
     eta_preds = sorted(formula_predicates(w.eta) & set(sig_star.unary))
     positions = [sig_star.one_type_bit[("u", p, "x")] for p in eta_preds]
+    if types is None:
+        count = len(w.z) + m + 3 * m * 2**k // 2
+    else:
+        types = tuple(sorted(set(types)))
+        if any(tp.sig != sig_star for tp in types):
+            raise PreconditionError("types must be 1-types over the compiled signature")
+        count = len(w.z) + m + 1
+        count += sum(tp.unary_polarity(label) for tp in types for label in label_of.values())
     navs: dict[tuple, frozenset[str]] = {}
-    count = len(w.z) + m + 3 * m * 2**k // 2
     if count <= MAX_BASIC_FORMULAS:
-        firsts = {}
-        for key in itertools.product((False, True), repeat=len(positions)):
-            bits = dict(zip(positions, key))
-            firsts[key] = OneType(sig_star, tuple(bits.get(i, False) for i in range(k)))
+        sizes: dict[tuple, int] = {}
+        firsts: dict[tuple, OneType] = {}
+        if types is None:
+            for key in itertools.product((False, True), repeat=len(positions)):
+                bits = dict(zip(positions, key))
+                firsts[key] = OneType(sig_star, tuple(bits.get(i, False) for i in range(k)))
+                sizes[key] = 2 ** (k - len(positions))
+        else:
+            for tp in types:
+                key = tuple(tp.bits[i] for i in positions)
+                firsts.setdefault(key, tp)
+                sizes[key] = sizes.get(key, 0) + 1
         for ka, alpha in firsts.items():
             for kb, beta in firsts.items():
                 navs[ka, kb] = _classify(w.eta, sig_star, alpha, beta)
-        constrained = sum(n in _UNIVERSAL_SHAPES for n in navs.values())
-        count += constrained * 4 ** (k - len(eta_preds))
+                if navs[ka, kb] in _UNIVERSAL_SHAPES:
+                    count += sizes[ka] * sizes[kb]
     if count > MAX_BASIC_FORMULAS:
         raise EnumerationBudgetError(
             f"basic compilation refused: at least {count} basic formulas to "
             f"build exceed the budget of {MAX_BASIC_FORMULAS}"
         )
-    label_of = {
-        (h, d): labels[3 * h + i]
-        for h in range(m)
-        for i, d in enumerate(("lt", "gt", "sim"))
-    }
     out: list[BasicFormula] = []
     for zeta in w.z:
         out.append(BasicFormula(BasicKind.B10, mu=simplify(zeta)))
@@ -615,13 +676,15 @@ def to_basic(
         out.append(
             BasicFormula(
                 BasicKind.B9,
-                mu=Or(tuple(Atom(label_of[(h, d)], ("x",)) for d in ("lt", "gt", "sim"))),
+                mu=Or(tuple(Atom(label_of[(h, d)], ("x",)) for d in _DIRECTIONS)),
             )
         )
-    types = enumerate_one_types(sig_star)
+    if types is None:
+        types = enumerate_one_types(sig_star)
+    else:
+        out.append(BasicFormula(BasicKind.B9, mu=disj(tp.formula("x") for tp in types)))
     for h in range(m):
-        for d in ("lt", "gt", "sim"):
-            kind = {"lt": BasicKind.B6, "gt": BasicKind.B7, "sim": BasicKind.B8}[d]
+        for d in _DIRECTIONS:
             for alpha in types:
                 if not alpha.unary_polarity(label_of[(h, d)]):
                     continue
@@ -631,7 +694,7 @@ def to_basic(
                 if free_vars(mu_y) - {"y"}:
                     raise LogicError("witness matrix failed to reduce to a unary formula")
                 out.append(
-                    BasicFormula(kind, alpha=alpha, mu=substitute(mu_y, {"y": "x"}))
+                    BasicFormula(_WITNESS_KINDS[d], alpha=alpha, mu=substitute(mu_y, {"y": "x"}))
                 )
     groups: dict[tuple, list[OneType]] = {}
     for tp in types:

@@ -62,9 +62,18 @@ def sub_blocks(f: Factorization) -> tuple[SubBlock, ...]:
         for st, members in sorted(groups.items(), key=lambda kv: min(kv[1]))
     )
     n_types = 2 ** len(tpo.sig.one_type_keys())
-    if len(out) > f.n_blocks ** (2 * n_types + 1):
+    if exceeds_power(len(out), f.n_blocks, 2 * n_types + 1):
         raise VerificationFailure("sub-block count exceeds its stated bound")
     return out
+
+
+def exceeds_power(n: int, base: int, exp: int) -> bool:
+    """n > base ** exp for n, base, exp >= 0, without building the power
+    when it is past n: a base of at least 2 and an exponent of at least
+    n's bit length give a power above n."""
+    if base >= 2 and exp >= n.bit_length():
+        return False
+    return n > base**exp
 
 
 def _monotone_step(s: SubType, t: SubType) -> bool:

@@ -28,12 +28,14 @@ from .logic import (
     Structure,
     VerificationFailure,
     evaluate,
+    one_type_of,
 )
 from .normal_forms import (
     BasicFormula,
     WeakNF,
     basic_set_formula,
     fc_subset,
+    label_witnesses,
     to_basic,
     to_standard_nf,
     to_transitive_nf,
@@ -191,23 +193,41 @@ def _search_outcome(
 
 
 def _po_unary_chain(
-    report: VerificationReport, w: WeakNF, sig: Signature, budget: SearchBudget
+    report: VerificationReport,
+    w: WeakNF,
+    budget: SearchBudget,
+    model: Optional[Structure],
 ) -> None:
+    """Compile w's basic set relative to the 1-types its model realizes
+    once labelled, check the labelled model against it, and run the block
+    stages on the basic set's smallest model."""
+    if model is None:
+        report.step("skipped", f"no model up to size {budget.max_size}")
+        return
+    labelled = label_witnesses(w, model)
+    types = {one_type_of(labelled, a) for a in labelled.domain()}
     try:
-        psis, sig_star = to_basic(w, sig)
+        psis, sig_star = to_basic(w, model.sig, types)
     except EnumerationBudgetError as e:
         report.step("skipped", str(e))
         return
-    if len(sig_star.unary) != len(sig.unary) + 3 * w.multiplicity:
+    if len(sig_star.unary) != len(model.sig.unary) + 3 * w.multiplicity:
         report.step("fail", "signature growth is not 3m")
         return
-    report.step("pass", f"{len(psis)} basic formulas, signature growth exactly {3 * w.multiplicity}")
-    model = smallest_model(basic_set_formula(psis), sig_star, budget)
-    if model is None:
-        report.step("pass", f"no model up to size {budget.max_size}")
+    phi = basic_set_formula(psis)
+    if not evaluate(labelled, phi):
+        raise VerificationFailure("the labelled model fails the relative basic set")
+    report.step(
+        "pass",
+        f"{len(psis)} basic formulas over {len(types)} realized 1-type{'s' * (len(types) != 1)},"
+        f" signature growth exactly {3 * w.multiplicity}",
+    )
+    found = smallest_model(phi, sig_star, budget)
+    if found is None:
+        report.step("fail", f"no model up to size {budget.max_size}, yet the labelled model is one")
         return
-    report.step("pass", f"model of size {model.size}")
-    tpo = TypedPartialOrder.from_structure(model)
+    report.step("pass", f"model of size {found.size}")
+    tpo = TypedPartialOrder.from_structure(found)
     try:
         details = block_stages(tpo, psis)
     except VerificationFailure as e:
@@ -235,7 +255,7 @@ def _snf_chain(
     if not report.ok or report.logic == "l2":
         return
     if report.logic == "l2-1po-u":
-        _po_unary_chain(report, snf.to_weak(), sig1, budget)
+        _po_unary_chain(report, snf.to_weak(), budget, model)
         return
     if model is None:
         return
@@ -256,7 +276,7 @@ def _snf_chain(
         report.step("fail", "reconstructed model fails the input")
         return
     report.step("pass", f"model of size {m2.size} reconstructed and re-verified")
-    _po_unary_chain(report, elim.weak, elim.sig_prime, budget)
+    _po_unary_chain(report, elim.weak, budget, m2)
 
 
 def _transitive_chain(
@@ -309,7 +329,16 @@ def pipeline_verify(
     it is built and skips its stage with the count: basic compilation past
     ``MAX_BASIC_FORMULAS``, the clique round trip past ``enum_budget``'s
     ``max_diatoms`` (default 8192).  The round trip runs over the cells and
-    diatoms the bounded model realizes, at most L(L-1) for L cliques."""
+    diatoms the bounded model realizes, at most L(L-1) for L cliques.
+
+    The partial-order chains compile the basic set relative to the 1-types
+    T of a labelled expansion (``label_witnesses``) of the model they
+    already hold: the standard normal form's for l2-1po-u, the eliminated
+    formula's for l2-1po.  So it has at most 3m|T| witness and |T|**2
+    universal formulas, plus one B9 conjunct that every 1-type is in T.
+    The labelled model is checked against that set with ``evaluate``
+    before the search, and a failure ends the report in a 'fail' row.
+    Without a model there is no T, and basic compilation is skipped."""
     if logic not in CHAINS:
         raise LogicError(f"unknown logic tag {logic!r}")
     budget = budget or SearchBudget()

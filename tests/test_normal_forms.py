@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+import finsat.normal_forms
 from finsat.logic import (
     And,
     Atom,
     DistKind,
+    EnumerationBudgetError,
     Eq,
     Exists,
     LogicError,
@@ -19,6 +21,7 @@ from finsat.logic import (
     FALSE,
     conj,
     evaluate,
+    disj,
     enumerate_one_types,
     neg,
 )
@@ -227,6 +230,28 @@ def test_antichain_basic_kind_inventory():
     assert b8
     # the existential conjunct passes through untouched
     assert any(p.kind is BasicKind.B10 for p in psis)
+
+
+def test_to_basic_over_types_keeps_the_full_formulas_of_those_types(monkeypatch):
+    # Relative to T the compilation is the full one's formulas that mention
+    # only members of T, plus the conjunct that every 1-type is in T, and
+    # the count before building is what is built.
+    eta = parse_formula("q(x) & q(y) -> (!(x<y) & !(y<x))", POU)
+    thetas = (parse_formula("p(x) -> (x < y & q(y))", POU), parse_formula("q(x) -> !(x < y)", POU))
+    w = WeakNF((Atom("p", ("x",)),), eta, thetas)
+    full, sig_star = to_basic(w, POU)
+    types = enumerate_one_types(sig_star)[::40]
+    relative, sig_t = to_basic(w, POU, reversed(types))
+    assert sig_t == sig_star
+    in_t = {
+        psi for psi in full if {psi.alpha, psi.beta} - {None} <= set(types)
+    }
+    every_type = BasicFormula(BasicKind.B9, mu=disj(tp.formula("x") for tp in types))
+    assert set(relative) == in_t | {every_type}
+    assert (len(full), len(types), len(relative)) == (17155, 7, 30)
+    monkeypatch.setattr(finsat.normal_forms, "MAX_BASIC_FORMULAS", 29)
+    with pytest.raises(EnumerationBudgetError, match="at least 30 basic formulas"):
+        to_basic(w, POU, types)
 
 
 def test_to_basic_preserves_satisfiability_small():

@@ -1,10 +1,11 @@
 """Sub-blocks and the two-object block-size reduction."""
 
 import itertools
+import time
 
 import pytest
 
-from finsat.logic import PreconditionError, enumerate_one_types
+from finsat.logic import DistKind, OneType, PreconditionError, Signature, enumerate_one_types
 from finsat.factorization import (
     Factorization,
     TypedPartialOrder,
@@ -15,6 +16,7 @@ from finsat.factorization import (
     trivial_factorization,
 )
 from finsat.subblocks import (
+    exceeds_power,
     incomparable_witness_check,
     shrink_blocks,
     sub_blocks,
@@ -40,6 +42,22 @@ def test_sub_blocks_unit_block_is_singleton_sub_block():
     f = factorize_for(tpo, ())
     subs = sub_blocks(f)
     assert all(len(s.members) == 1 for s in subs)
+
+
+def test_sub_blocks_bound_is_checked_without_the_power_on_a_wide_signature():
+    # 31 bits give a bound of 2 ** (2 * 2**31 + 1); building it as an
+    # integer took 25 s.
+    wide = Signature(tuple(f"u{i}" for i in range(31)), (), DistKind.PARTIAL_ORDER)
+    low, high = OneType(wide, (False,) * 31), OneType(wide, (True,) * 31)
+    f = factorize_for(TypedPartialOrder((low, high), frozenset({(0, 1)})), ())
+    start = time.perf_counter()
+    assert len(sub_blocks(f)) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exceeds_power_agrees_with_the_integer_comparison():
+    for n, base, exp in itertools.product(range(300), range(6), range(12)):
+        assert exceeds_power(n, base, exp) == (n > base**exp), (n, base, exp)
 
 
 def test_sub_blocks_homogeneous_antichain_single_group():

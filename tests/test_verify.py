@@ -1,6 +1,7 @@
 """pipeline_verify: the declared stage rows per logic, the basic-compilation
 refusal, and the failure minimizer."""
 
+import collections
 import time
 
 import pytest
@@ -11,9 +12,16 @@ from finsat import cli
 from finsat.cliques import EnumerationBudget, EnumerationBudgetError, cliquify
 from finsat.factorization import TypedPartialOrder
 from finsat.logic import TRUE, DistKind, Signature, Structure, VerificationFailure, enumerate_one_types
-from finsat.normal_forms import WeakNF, to_basic, to_standard_nf, to_transitive_nf
+from finsat.normal_forms import (
+    WeakNF,
+    basic_set_formula,
+    label_witnesses,
+    to_basic,
+    to_standard_nf,
+    to_transitive_nf,
+)
 from finsat.parsing import parse_formula
-from finsat.solver import SearchBudget, random_formula
+from finsat.solver import SearchBudget, random_formula, smallest_model
 from finsat.verify import pipeline_verify
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
@@ -24,6 +32,20 @@ PO_PQ = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
 PO_PR = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
 L2 = Signature(("p",), ("r",), DistKind.NONE)
 NODES = 100_000_000
+#: The pipeline sweep's search budget, for depth-3 random formulas.
+SWEEP_BUDGET = SearchBudget(max_size=3, node_limit=200_000)
+
+PO_CHAIN = "forall x (p(x) -> exists y (x < y & r(x,y))) & exists x p(x)"
+
+#: The 2-bit counter over <: values 0-3 as (p, q) = 00, 10, 01, 11, and
+#: each value below 3 has a greater element of the next value.  Its
+#: smallest model is the 4-element chain.
+COUNTER_2 = (
+    "exists x (!p(x) & !q(x))"
+    " & forall x (!p(x) & !q(x) -> exists y (x < y & p(y) & !q(y)))"
+    " & forall x (p(x) & !q(x) -> exists y (x < y & !p(y) & q(y)))"
+    " & forall x (!p(x) & q(x) -> exists y (x < y & p(y) & q(y)))"
+)
 
 BLOCKS_SKIPPED = [
     ("basic-set model search", "skipped", ""),
@@ -41,7 +63,7 @@ CASES = {
         [
             ("standard normal form", "pass", "multiplicity 2, 0 fresh predicates"),
             ("normal form implies the input", "pass", "checked on the found model"),
-            ("basic compilation", "pass", "770 basic formulas, signature growth exactly 6"),
+            ("basic compilation", "pass", "7 basic formulas over 2 realized 1-types, signature growth exactly 6"),
             ("basic-set model search", "pass", "model of size 2"),
             ("factorization (unitary, controlled)", "pass", "2 blocks, 0 controlled constraints"),
             ("thinning preserves the basic set", "pass", ""),
@@ -56,13 +78,46 @@ CASES = {
             ("normal form implies the input", "pass", "checked on the found model"),
             ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
             ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
-            (
-                "basic compilation",
-                "skipped",
-                "basic compilation refused: at least 19327352840 basic formulas to build exceed the budget of 32768",
-            ),
-        ]
-        + BLOCKS_SKIPPED,
+            ("basic compilation", "pass", "24 basic formulas over 2 realized 1-types, signature growth exactly 18"),
+            ("basic-set model search", "pass", "model of size 2"),
+            ("factorization (unitary, controlled)", "pass", "2 blocks, 0 controlled constraints"),
+            ("thinning preserves the basic set", "pass", ""),
+            ("block-count reduction", "pass", "2 -> 2 blocks, no equivalent cuts remain"),
+            ("block-size reduction", "pass", "carrier 2 -> 2, basic set re-verified"),
+        ],
+    ),
+    # The full basic set of both l2-1po inputs has 31 bits, which the
+    # basic-formula count refuses; over the 2 realized 1-types it is small.
+    "l2-1po-chain": (
+        PO_CHAIN, PO_PR, "l2-1po", NODES, None,
+        [
+            ("standard normal form", "pass", "multiplicity 2, 0 fresh predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+            ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
+            ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
+            ("basic compilation", "pass", "23 basic formulas over 2 realized 1-types, signature growth exactly 18"),
+            ("basic-set model search", "pass", "model of size 2"),
+            ("factorization (unitary, controlled)", "pass", "2 blocks, 1 controlled constraints"),
+            ("thinning preserves the basic set", "pass", ""),
+            ("block-count reduction", "pass", "2 -> 2 blocks, no equivalent cuts remain"),
+            ("block-size reduction", "pass", "carrier 2 -> 2, basic set re-verified"),
+        ],
+    ),
+    # The full basic set of the 2-bit counter has 98,308 formulas, past the
+    # count; its 4 realized 1-types give a basic set whose smallest model,
+    # like the input's, has 4 elements.
+    "l2-1po-u-counter": (
+        COUNTER_2, PO_PQ, "l2-1po-u", NODES, None,
+        [
+            ("standard normal form", "pass", "multiplicity 4, 0 fresh predicates"),
+            ("normal form implies the input", "pass", "checked on the found model"),
+            ("basic compilation", "pass", "25 basic formulas over 4 realized 1-types, signature growth exactly 12"),
+            ("basic-set model search", "pass", "model of size 4"),
+            ("factorization (unitary, controlled)", "pass", "4 blocks, 0 controlled constraints"),
+            ("thinning preserves the basic set", "pass", ""),
+            ("block-count reduction", "pass", "4 -> 4 blocks, no equivalent cuts remain"),
+            ("block-size reduction", "pass", "carrier 4 -> 4, basic set re-verified"),
+        ],
     ),
     "l2-1t": (
         "forall x exists y (x != y & !t(x,y) & !t(y,x))", T0, "l2-1t", NODES,
@@ -139,13 +194,28 @@ THREE_WITNESSES_REFUSAL = "basic compilation refused: at least 1057795 basic for
 
 
 def test_unary_chain_skips_a_refused_compilation():
+    # The full compilation would be refused, but without a model there are
+    # no realized 1-types to compile over.
     report = pipeline_verify(
         parse_formula(THREE_WITNESSES, PO_PQ), PO_PQ, "l2-1po-u", SearchBudget(max_size=4)
     )
     assert rows(report) == [
         ("standard normal form", "pass", "multiplicity 3, 0 fresh predicates"),
         ("normal form implies the input", "skipped", "no model up to size 4"),
-        ("basic compilation", "skipped", THREE_WITNESSES_REFUSAL),
+        ("basic compilation", "skipped", "no model up to size 4"),
+    ] + BLOCKS_SKIPPED
+
+
+def test_unary_chain_without_a_model_compiles_nothing():
+    # l2-1po-u sweep seed 28 has no model at any size; over the full set of
+    # 1-types its basic set had 16,577 formulas.
+    start = time.perf_counter()
+    report = pipeline_verify(random_formula(28, PO_PQ, 3), PO_PQ, "l2-1po-u", SWEEP_BUDGET)
+    assert time.perf_counter() - start < 1.0
+    assert rows(report) == [
+        ("standard normal form", "pass", "multiplicity 1, 2 fresh predicates"),
+        ("normal form implies the input", "skipped", "no model up to size 3"),
+        ("basic compilation", "skipped", "no model up to size 3"),
     ] + BLOCKS_SKIPPED
 
 
@@ -180,17 +250,42 @@ def test_block_failure_is_minimized(monkeypatch):
 
 
 def test_block_failure_on_770_formulas_is_minimized_in_seconds(monkeypatch):
-    # Every rerun fails, so dropping halves first empties the 770-formula
-    # basic set in about ten reruns of the block stages, not one per formula.
+    # Every rerun fails, so dropping halves first empties the full
+    # 770-formula basic set in about ten reruns of the block stages, not
+    # one per formula.
     monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
-    text, sig, logic, nodes, _, want = CASES["l2-1po-u"]
+    text, sig = CASES["l2-1po-u"][:2]
+    snf, sig1 = to_standard_nf(parse_formula(text, sig), sig)
+    psis, sig_star = to_basic(snf.to_weak(), sig1)
+    assert len(psis) == 770
+    model = smallest_model(basic_set_formula(psis), sig_star, SearchBudget(max_size=4, node_limit=NODES))
     start = time.perf_counter()
-    report = pipeline_verify(parse_formula(text, sig), sig, logic, SearchBudget(max_size=4, node_limit=nodes))
+    tpo, kept = finsat.verify.minimize_basic_failure(TypedPartialOrder.from_structure(model), psis)
     assert time.perf_counter() - start < 10
-    assert rows(report)[:4] == want[:4]
+    assert (tpo.size, kept) == (2, ())
+
+
+def test_block_failure_is_caught_on_an_l2_1po_input(monkeypatch):
+    monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
+    report = pipeline_verify(parse_formula(PO_CHAIN, PO_PR), PO_PR, "l2-1po", SearchBudget(max_size=4))
+    assert not report.ok
+    assert rows(report)[:5] == CASES["l2-1po-chain"][5][:5]
     last = report.stages[-1]
     assert (last.stage, last.status) == ("block stages", "fail")
-    assert last.detail.endswith("# 0 basic formulas retained\n")
+    assert last.detail.startswith("sub-block check broken on purpose\nminimized:\n")
+
+
+def test_a_labelling_with_a_label_dropped_is_rejected(monkeypatch):
+    # Each element's one witness is incomparable, so it carries exactly
+    # one label; without it element 0 breaks "every element has a witness".
+    def drop_one(w, model):
+        s = label_witnesses(w, model)
+        label = next(p for p in s.sig.unary if 0 in s.unary_of(p))
+        return Structure(s.sig, s.size, {**s.unary, label: s.unary_of(label) - {0}}, s.binary, s.dist)
+
+    monkeypatch.setattr(finsat.verify, "label_witnesses", drop_one)
+    report = pipeline_verify(parse_formula(INCOMPARABLE, PO0), PO0, "l2-1po-u", SearchBudget(max_size=4))
+    assert rows(report)[-1] == ("pipeline", "fail", "the labelled model fails the relative basic set")
 
 
 def test_minimizer_keeps_exactly_the_formulas_a_failure_needs(monkeypatch):
@@ -218,7 +313,6 @@ def test_verify_pipeline_exits_70_on_a_block_failure(monkeypatch, tmp_path, caps
 #: NF has 5 unary predicates, so the full cell and diatom table holds 12,288
 #: diatoms, past the default budget of 8,192.
 SWEEP_T = random_formula(3, T_P, 3)
-SWEEP_BUDGET = SearchBudget(max_size=3, node_limit=200_000)
 
 
 def test_round_trip_runs_on_a_sweep_input_the_full_table_refuses():
@@ -242,3 +336,33 @@ def test_a_wrong_expansion_is_reported_as_fail(monkeypatch):
     report = pipeline_verify(SWEEP_T, T_P, "l2-1t", SWEEP_BUDGET)
     assert not report.ok
     assert rows(report)[-1] == ("clique abstraction round trip", "fail", "expanded model fails the input")
+
+
+#: The sweep's signature per logic, and what seeds 0-39 reach: the count
+#: of reports per last passed stage, and of skipped rows per reason.
+SWEEP = {
+    "l2": (L2, {"normal form implies the input": 35, "standard normal form": 5}, {"normal form implies the input": 5}),
+    "l2-1po-u": (
+        PO_PQ,
+        {"block-size reduction": 33, "standard normal form": 7},
+        {"normal form implies the input": 7, "basic compilation": 7},
+    ),
+    "l2-1po": (PO_PR, {"block-size reduction": 33, "standard normal form": 7}, {"normal form implies the input": 7}),
+    "l2-1t": (T_P, {"clique abstraction round trip": 35, "transitive normal form": 5}, {"normal form implies the input": 5}),
+}
+
+
+@pytest.mark.parametrize("logic", SWEEP)
+def test_sweep_slice(logic):
+    sig, want_reach, want_skips = SWEEP[logic]
+    reach, skips = collections.Counter(), collections.Counter()
+    for seed in range(40):
+        report = pipeline_verify(random_formula(seed, sig, 3), sig, logic, SWEEP_BUDGET)
+        assert [s.stage for s in report.stages] == list(finsat.verify.CHAINS[logic]), seed
+        assert all(s.status in ("pass", "skipped") for s in report.stages), seed
+        reach[[s.stage for s in report.stages if s.status == "pass"][-1]] += 1
+        for s in report.stages:
+            if s.detail and s.status == "skipped":
+                assert s.detail == "no model up to size 3", seed
+                skips[s.stage] += 1
+    assert (reach, skips) == (want_reach, want_skips)
