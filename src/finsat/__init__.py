@@ -42,7 +42,6 @@ from .normal_forms import (
     BasicKind,
     StandardNF,
     TransitiveNF,
-    WeakNF,
     fc_subset,
     to_basic,
     to_standard_nf,

@@ -96,7 +96,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.to == "basic":
         snf, sig1 = to_standard_nf(f, sig)
-        psis, sig_star = to_basic(snf.to_weak(), sig1)
+        psis, sig_star = to_basic(snf, sig1)
         print(f"multiplicity: {snf.multiplicity}")
         print(
             f"signature: {len(sig1.unary)} + 3*{snf.multiplicity} = {len(sig_star.unary)} unary predicates"
@@ -159,7 +159,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         sig = s.sig
         f = parse_formula(_read(args.formula), sig)
         snf, sig1 = to_standard_nf(f, sig)
-        psis, sig_star = to_basic(snf.to_weak(), sig1)
+        psis, sig_star = to_basic(snf, sig1)
         expanded = find_expansion(s, basic_set_formula(psis), sig_star, SearchBudget())
         if expanded is None:
             print("structure does not satisfy the formula under any labelling")

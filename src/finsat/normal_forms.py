@@ -112,19 +112,27 @@ def _check_matrix(f: Formula, what: str) -> set[Atom]:
 
 @dataclass(frozen=True)
 class StandardNF:
-    """forall-forall part plus m >= 1 witness conjuncts.
+    """forall-forall part plus m >= 1 witness conjuncts, after existential
+    conjuncts Z.
 
-    Denotes  AxAy(x=y | eta) & AND_h AxEy(x!=y & theta_h).
+    Denotes  AND_zeta Ex zeta(x) & AxAy(x=y | eta) & AND_h AxEy(x!=y & theta_h).
+    With Z non-empty this is the paper's weak normal form; to_standard_nf
+    gives Z empty, and weak_to_standard folds Z into witness conjuncts.
+    Each matrix is checked once, on construction.
     """
 
     eta: Formula
     thetas: tuple[Formula, ...]
+    z: tuple[Formula, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.thetas:
             raise LogicError("standard normal form needs multiplicity >= 1")
         for g in (self.eta,) + self.thetas:
             _check_matrix(g, "normal-form matrix")
+        for zeta in self.z:
+            if any("y" in a.args for a in _check_matrix(zeta, "existential parts")):
+                raise LogicError("existential parts must be unary in x")
 
     @property
     def multiplicity(self) -> int:
@@ -138,7 +146,7 @@ class StandardNF:
             Forall("x", Exists("y", And((neg(Eq("x", "y")), th))))
             for th in self.thetas
         )
-        return conj(parts)
+        return conj([Exists("x", zeta) for zeta in self.z] + [conj(parts)])
 
     def holds(self, s: Structure) -> bool:
         """Truth of the sentence in s.  Construction has checked that the
@@ -146,36 +154,9 @@ class StandardNF:
         evaluate's free-variable walk is skipped."""
         return tarski(s, {})(self.to_formula())
 
-    def to_weak(self) -> "WeakNF":
-        return WeakNF((), self.eta, self.thetas)
 
-
-@dataclass(frozen=True)
-class WeakNF:
-    """Standard normal form preceded by plain existential conjuncts."""
-
-    z: tuple[Formula, ...]
-    eta: Formula
-    thetas: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        StandardNF(self.eta, self.thetas)
-        for zeta in self.z:
-            if any("y" in a.args for a in _check_matrix(zeta, "existential parts")):
-                raise LogicError("existential parts must be unary in x")
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.thetas)
-
-    def to_formula(self) -> Formula:
-        parts: list[Formula] = [Exists("x", zeta) for zeta in self.z]
-        parts.append(StandardNF(self.eta, self.thetas).to_formula())
-        return conj(parts)
-
-
-def weak_to_standard(w: WeakNF) -> StandardNF:
-    """Fold the existential conjuncts into witness conjuncts.
+def weak_to_standard(w: StandardNF) -> StandardNF:
+    """Fold the existential conjuncts Z into witness conjuncts.
 
     Under the cardinality-at-least-2 convention, Ex.zeta is equivalent to
     AxEy(x!=y & (zeta | zeta(y))); the multiplicity grows by |Z|.
@@ -519,7 +500,7 @@ def _eval_literals(
 ) -> Formula:
     """Replace unary literals by their truth under the given 1-types and
     navigational atoms per the nav table; everything else is kept.  f is a
-    matrix, which WeakNF has checked quantifier-free."""
+    matrix, which StandardNF has checked quantifier-free."""
 
     def fn(g: Formula) -> Optional[Formula]:
         if not isinstance(g, Atom):
@@ -556,7 +537,7 @@ _DIRECTIONS = ("lt", "gt", "sim")
 _WITNESS_KINDS = {"lt": BasicKind.B6, "gt": BasicKind.B7, "sim": BasicKind.B8}
 
 
-def _direction_labels(w: WeakNF, sig: Signature) -> tuple[dict[tuple[int, str], str], Signature]:
+def _direction_labels(w: StandardNF, sig: Signature) -> tuple[dict[tuple[int, str], str], Signature]:
     """to_basic's 3m fresh labels by (witness conjunct, direction), and the
     signature they extend sig to."""
     labels = fresh_names(sig, "p", 3 * w.multiplicity)
@@ -568,7 +549,7 @@ def _direction_labels(w: WeakNF, sig: Signature) -> tuple[dict[tuple[int, str], 
     return label_of, sig.with_unary(labels)
 
 
-def label_witnesses(w: WeakNF, model: Structure) -> Structure:
+def label_witnesses(w: StandardNF, model: Structure) -> Structure:
     """The expansion of a model of w to to_basic's signature in which an
     element a carries the label of witness conjunct h and direction d
     exactly when some b != a lies in direction d from a and satisfies
@@ -595,11 +576,11 @@ def label_witnesses(w: WeakNF, model: Structure) -> Structure:
 
 
 def to_basic(
-    w: WeakNF, sig: Signature, types: Optional[Iterable[OneType]] = None
+    w: StandardNF, sig: Signature, types: Optional[Iterable[OneType]] = None
 ) -> tuple[tuple[BasicFormula, ...], Signature]:
     """Compile a weak-normal-form unary partial-order formula into a
     conjunction of basic formulas over a signature with 3m fresh direction
-    labels.
+    labels, each basic formula once, in the order first built.
 
     The input and output are satisfiable over exactly the same finite
     domains.  Witness conjuncts are split by the direction of the witness,
@@ -619,10 +600,10 @@ def to_basic(
     build are counted: |Z| + m, plus one for T, plus the witness shapes
     (3m * 2**(k-1) over k compiled bits, or one per label a member of T
     carries), plus |A| * |B| for each pair of eta-projection classes A, B
-    (of all 1-types, or of T) whose universal shape constrains anything
-    (the output keeps one copy of each universal one).  Past
-    MAX_BASIC_FORMULAS this raises EnumerationBudgetError; the universal
-    part is not counted when the rest is already past it.
+    (of all 1-types, or of T) whose universal shape constrains anything.
+    The output drops repeats, so the count is an upper bound on its length.
+    Past MAX_BASIC_FORMULAS this raises EnumerationBudgetError; the
+    universal part is not counted when the rest is already past it.
     """
     if sig.dist is not DistKind.PARTIAL_ORDER or sig.binary:
         raise PreconditionError("basic compilation needs a unary partial-order signature")
@@ -699,7 +680,6 @@ def to_basic(
     groups: dict[tuple, list[OneType]] = {}
     for tp in types:
         groups.setdefault(tuple(tp.bits[i] for i in positions), []).append(tp)
-    seen: set[BasicFormula] = set(out)
     for ka, members_a in groups.items():
         for kb, members_b in groups.items():
             shape = _UNIVERSAL_SHAPES.get(navs[ka, kb])
@@ -709,15 +689,12 @@ def to_basic(
             for alpha in members_a:
                 for beta in members_b:
                     if alpha == beta:
-                        b = BasicFormula(same_kind, alpha=alpha)
+                        out.append(BasicFormula(same_kind, alpha=alpha))
                     elif swap:
-                        b = BasicFormula(kind, alpha=beta, beta=alpha)
+                        out.append(BasicFormula(kind, alpha=beta, beta=alpha))
                     else:
-                        b = BasicFormula(kind, alpha=alpha, beta=beta)
-                    if b not in seen:
-                        seen.add(b)
-                        out.append(b)
-    return tuple(out), sig_star
+                        out.append(BasicFormula(kind, alpha=alpha, beta=beta))
+    return tuple(dict.fromkeys(out)), sig_star
 
 
 def _classify(eta: Formula, sig: Signature, alpha: OneType, beta: OneType) -> frozenset[str]:

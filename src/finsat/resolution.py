@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .logic import (
@@ -30,7 +29,6 @@ from .logic import (
     Not,
     OneType,
     Or,
-    Pair,
     PreconditionError,
     SemiDiagonalTwoType,
     Signature,
@@ -38,7 +36,6 @@ from .logic import (
     TRUE,
     TwoType,
     VerificationFailure,
-    atom,
     atom_key,
     conj,
     disj,
@@ -53,7 +50,7 @@ from .logic import (
     swap_key,
     two_type_of,
 )
-from .normal_forms import StandardNF, WeakNF, fresh_names, strip_distinct_eq
+from .normal_forms import StandardNF, fresh_names
 
 # A literal is (sign, atom key); logic.atom_key names the atoms.
 Literal = tuple[bool, tuple]
@@ -178,16 +175,17 @@ def _satisfies(lits: frozenset[Literal], cs) -> bool:
 
 
 def complete_type(
-    tau_minus: SemiDiagonalTwoType, gamma: ClauseSet
+    tau_minus: SemiDiagonalTwoType, closure: ClauseSet
 ) -> Optional[TwoType]:
-    """Extend a semi-diagonal 2-type to a full 2-type satisfying gamma.
+    """Extend a semi-diagonal 2-type to a full 2-type satisfying a clause
+    set, given as its resolution closure (resolve_closure of the set).
 
     Descends through the cross atoms in a fixed order, keeping the partial
-    extension clear of the resolution closure's violations; guaranteed to
-    succeed whenever the semi-diagonal type entails the cross-free part of
-    the closure.
+    extension clear of the closure's violations; guaranteed to succeed
+    whenever the semi-diagonal type entails the cross-free part of the
+    closure.  The result is checked against the closure, which a full
+    2-type satisfies exactly when it satisfies the set it closes.
     """
-    closure = resolve_closure(gamma)
     lits = set(semi_type_literals(tau_minus))
     if _violates(frozenset(lits), closure):
         return None
@@ -207,7 +205,7 @@ def complete_type(
         (chosen[(r, "x", "y")], chosen[(r, "y", "x")]) for r in sig.binary
     )
     tau = tau_minus.with_cross(cross)
-    if not _satisfies(type_literals(tau), gamma):
+    if not _satisfies(type_literals(tau), closure):
         raise VerificationFailure("completed 2-type fails the clause set")
     return tau
 
@@ -350,14 +348,6 @@ def labels(preds: Sequence[str], count: int, args: tuple[str, ...]) -> list[Form
     ]
 
 
-@dataclass(frozen=True)
-class CourtLabelling:
-    kings: tuple[int, ...]
-    court: tuple[int, ...]  # kings first
-    q_preds: tuple[str, ...]
-    qh_preds: tuple[tuple[str, ...], ...]  # per witness index
-
-
 def _mutually_exclusive(formulas: Sequence[Formula], sig: Signature) -> bool:
     """Brute-force pairwise exclusivity over the predicates mentioned."""
     from .logic import eval_unary_on_type, formula_predicates
@@ -384,7 +374,6 @@ class SpreadNF:
     lams: tuple[Formula, Formula, Formula]
     mus: tuple[Formula, ...]
     deltas: tuple[ClauseSet, ...]
-    court: Optional[CourtLabelling] = None
 
     def __post_init__(self) -> None:
         if len(self.mus) != len(self.deltas) or not self.mus:
@@ -398,6 +387,25 @@ class SpreadNF:
     def multiplicity(self) -> int:
         return 3 * len(self.mus)
 
+    def witness_bodies(self, deltas: Sequence[Formula]) -> list[Formula]:
+        """The witness matrices lam_k(x) -> (lam_{k+1}(y) & mu_h(y) &
+        deltas[h]), with k in the outer loop and h in the inner one: the
+        body for (k, h) is at index k * len(mus) + h."""
+        return [
+            Implies(
+                self.lams[k],
+                And(
+                    (
+                        substitute(self.lams[(k + 1) % 3], {"x": "y"}),
+                        substitute(mu, {"x": "y"}),
+                        delta,
+                    )
+                ),
+            )
+            for k in range(3)
+            for mu, delta in zip(self.mus, deltas)
+        ]
+
     def to_formula(self) -> Formula:
         parts: list[Formula] = [Exists("x", zeta) for zeta in self.z]
         parts.append(
@@ -406,19 +414,8 @@ class SpreadNF:
                 Forall("y", Or((Eq("x", "y"), clause_set_formula(self.gamma)))),
             )
         )
-        for k in range(3):
-            for h, (mu, delta) in enumerate(zip(self.mus, self.deltas)):
-                body = Implies(
-                    self.lams[k],
-                    And(
-                        (
-                            substitute(self.lams[(k + 1) % 3], {"x": "y"}),
-                            substitute(mu, {"x": "y"}),
-                            clause_set_formula(delta),
-                        )
-                    ),
-                )
-                parts.append(Forall("x", Exists("y", body)))
+        deltas = [clause_set_formula(d) for d in self.deltas]
+        parts.extend(Forall("x", Exists("y", body)) for body in self.witness_bodies(deltas))
         return conj(parts)
 
 
@@ -426,7 +423,6 @@ class SpreadNF:
 class SpreadResult:
     spread: SpreadNF
     model: Structure  # satisfies the spread formula
-    sig_star: Signature
 
 
 def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
@@ -435,7 +431,7 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
 
     The output implies the input, is satisfied by an explicit expansion of
     a duplicated copy of the model, and has multiplicity exactly three
-    times the input's.  The construction records the court of the model
+    times the input's.  The construction finds the court of the model
     (kings plus their chosen witnesses), pins its diagram, labels the
     elements whose witnesses are royal, and spreads all remaining witness
     obligations over three duplication families.
@@ -497,7 +493,6 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
     p_preds = fresh_names(sig1, "sp", m)
     sig_star = sig1.with_unary(p_preds)
 
-    labelling = CourtLabelling(kings, tuple(court), q_preds, tuple(qh_preds))
     court_x = labels(q_preds, t_count, ("x",))
     court_y = labels(q_preds, t_count, ("y",))
     king_x = [labels(qh_preds[h], s_count, ("x",)) for h in range(m)]
@@ -575,16 +570,14 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
         deltas.append(cnf(simplify(Implies(guard, snf.thetas[h])), sig_star))
 
     z = tuple(court_x)
-    spread = SpreadNF(
-        sig_star, z, gamma, lams, mus, tuple(deltas), labelling
-    )
+    spread = SpreadNF(sig_star, z, gamma, lams, mus, tuple(deltas))
     if not evaluate(witnessed, spread.to_formula()):
         from .parsing import write_structure
 
         raise VerificationFailure(
             "spread expansion fails its own formula", write_structure(model)
         )
-    return SpreadResult(spread, witnessed, sig_star)
+    return SpreadResult(spread, witnessed)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +587,22 @@ def to_spread(snf: StandardNF, model: Structure) -> SpreadResult:
 
 @dataclass(frozen=True)
 class EliminationResult:
-    weak: WeakNF
-    sig_prime: Signature  # unary-only partial-order signature
-    hat_of: dict[str, str]  # ordinary binary -> fresh unary diagonal marker
-    gamma_circ: ClauseSet
-    delta_circs: tuple[ClauseSet, ...]
+    """The eliminated formula and what reconstruct_model needs to undo it.
+
+    weak is the weak normal form over sig_prime, a unary partial-order
+    signature; hat_of maps each ordinary binary r to the fresh unary
+    predicate that marks r(x,x).  gamma_closed is the resolution closure of
+    the spread universal set and its transpose, and delta_closed[h] that of
+    the same set with the h-th witness set added.  Their stripped, hatted
+    forms are weak's eta and witness sets; reconstruct_model completes
+    pairs against them.
+    """
+
+    weak: StandardNF
+    sig_prime: Signature
+    hat_of: dict[str, str]
+    gamma_closed: ClauseSet
+    delta_closed: tuple[ClauseSet, ...]
 
 
 def _hat_clause(clause: Clause, hat_of: dict[str, str]) -> Clause:
@@ -622,43 +626,24 @@ def eliminate_binaries(spread: SpreadNF) -> EliminationResult:
     """
     sig = spread.sig
     both = frozenset(spread.gamma | transpose(spread.gamma))
-    gamma_circ = strip_binary(resolve_closure(both))
-    delta_circs = tuple(
-        strip_binary(resolve_closure(frozenset(d | both)))
-        for d in spread.deltas
-    )
+    gamma_closed = resolve_closure(both)
+    delta_closed = tuple(resolve_closure(frozenset(d | both)) for d in spread.deltas)
     hats = fresh_names(sig, "dg", len(sig.binary))
     hat_of = dict(zip(sig.binary, hats))
     sig_prime = Signature(sig.unary + hats, (), DistKind.PARTIAL_ORDER)
 
-    def hatted(cs: ClauseSet) -> Formula:
+    def hatted(closed: ClauseSet) -> Formula:
         return conj(
             tuple(
                 clause_formula(_hat_clause(c, hat_of))
-                for c in sorted(cs, key=sorted)
+                for c in sorted(strip_binary(closed), key=sorted)
             )
         )
 
-    eta = simplify(hatted(gamma_circ))
-    thetas = []
-    for k in range(3):
-        for h, mu in enumerate(spread.mus):
-            thetas.append(
-                simplify(
-                    Implies(
-                        spread.lams[k],
-                        And(
-                            (
-                                substitute(spread.lams[(k + 1) % 3], {"x": "y"}),
-                                substitute(mu, {"x": "y"}),
-                                hatted(delta_circs[h]),
-                            )
-                        ),
-                    )
-                )
-            )
-    weak = WeakNF(spread.z, eta, tuple(thetas))
-    return EliminationResult(weak, sig_prime, hat_of, gamma_circ, delta_circs)
+    eta = simplify(hatted(gamma_closed))
+    bodies = spread.witness_bodies([hatted(d) for d in delta_closed])
+    weak = StandardNF(eta, tuple(simplify(b) for b in bodies), spread.z)
+    return EliminationResult(weak, sig_prime, hat_of, gamma_closed, delta_closed)
 
 
 def reconstruct_model(
@@ -684,7 +669,6 @@ def reconstruct_model(
     }
     dist = m_prime.dist
     base = Structure(sig, n, unary, {r: frozenset(v) for r, v in binary.items()}, dist)
-    both = frozenset(spread.gamma | transpose(spread.gamma))
     assigned: set[frozenset[int]] = set()
 
     def set_pair(a: int, b: int, tau: TwoType) -> None:
@@ -701,15 +685,7 @@ def reconstruct_model(
             else:
                 binary[r].discard((b, a))
 
-    hatted_deltas = [
-        conj(
-            tuple(
-                clause_formula(_hat_clause(c, elim.hat_of))
-                for c in sorted(d, key=sorted)
-            )
-        )
-        for d in elim.delta_circs
-    ]
+    m = len(spread.mus)
     for a in range(n):
         k_of_a = next(
             (k for k in range(3) if evaluate(m_prime, spread.lams[k], {"x": a})),
@@ -717,23 +693,17 @@ def reconstruct_model(
         )
         if k_of_a is None:
             continue
-        for h, mu in enumerate(spread.mus):
-            want = And(
-                (
-                    substitute(spread.lams[(k_of_a + 1) % 3], {"x": "y"}),
-                    substitute(mu, {"x": "y"}),
-                    hatted_deltas[h],
-                )
-            )
+        for h in range(m):
+            # lam_k holds at a, so the witness matrix for (k, h) reads its
+            # consequent: lam_{k+1}(y) & mu_h(y) & the hatted witness set.
+            want = elim.weak.thetas[k_of_a * m + h]
             b = next(
                 c
                 for c in range(n)
                 if c != a and evaluate(m_prime, want, {"x": a, "y": c})
             )
             tau_minus = two_type_of(base, a, b).semi_diagonal()
-            tau = complete_type(
-                tau_minus, frozenset(spread.deltas[h] | both)
-            )
+            tau = complete_type(tau_minus, elim.delta_closed[h])
             if tau is None:
                 raise VerificationFailure(
                     "witness completion failed; the input was not a model after all"
@@ -744,7 +714,7 @@ def reconstruct_model(
             if frozenset((a, b)) in assigned:
                 continue
             tau_minus = two_type_of(base, a, b).semi_diagonal()
-            tau = complete_type(tau_minus, both)
+            tau = complete_type(tau_minus, elim.gamma_closed)
             if tau is None:
                 raise VerificationFailure(
                     "pair completion failed; the input was not a model after all"

@@ -32,7 +32,7 @@ from .logic import (
 )
 from .normal_forms import (
     BasicFormula,
-    WeakNF,
+    StandardNF,
     basic_set_formula,
     fc_subset,
     label_witnesses,
@@ -194,7 +194,7 @@ def _search_outcome(
 
 def _po_unary_chain(
     report: VerificationReport,
-    w: WeakNF,
+    w: StandardNF,
     budget: SearchBudget,
     model: Optional[Structure],
 ) -> None:
@@ -255,7 +255,7 @@ def _snf_chain(
     if not report.ok or report.logic == "l2":
         return
     if report.logic == "l2-1po-u":
-        _po_unary_chain(report, snf.to_weak(), budget, model)
+        _po_unary_chain(report, snf, budget, model)
         return
     if model is None:
         return

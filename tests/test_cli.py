@@ -168,7 +168,7 @@ def test_a_runaway_basic_compilation_is_skipped_at_once(formula_file, capsys):
         "pipeline verification (l2-1po-u)\n"
         "  [ok  ] standard normal form -- multiplicity 2, 2 fresh predicates\n"
         "  [ok  ] normal form implies the input -- checked on the found model\n"
-        "  [ok  ] basic compilation -- 5 basic formulas over 1 realized 1-type, signature growth exactly 6\n"
+        "  [ok  ] basic compilation -- 4 basic formulas over 1 realized 1-type, signature growth exactly 6\n"
         "  [ok  ] basic-set model search -- model of size 2\n"
         "  [ok  ] factorization (unitary, controlled) -- 1 blocks, 0 controlled constraints\n"
         "  [ok  ] thinning preserves the basic set\n"

@@ -390,6 +390,36 @@ def test_no_module_imports_another_modules_private_name():
     assert found - PRIVATE_IMPORTS == set(), "import a public name, or move the function to its caller"
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_record_field_is_read():
+    # A field written at construction and never read as an attribute is
+    # dead weight on every record built.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = [ast.parse(p.read_text()) for p in sorted((root / "src" / "finsat").glob("*.py"))]
+    tests = [ast.parse(p.read_text()) for p in sorted((root / "tests").glob("*.py"))]
+    read = {
+        node.attr
+        for tree in src + tests
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {
+        (cls.name, stmt.target.id)
+        for tree in src
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    assert {f for f in fields if f[1] not in read} == set(), "read the field, or delete it"
+
+
 def _tests_for_not(node: ast.AST) -> bool:
     """isinstance(_, Not), or an is/== comparison against Not, as in
     type(_) is Not, type(_) == Not or t is Not."""

@@ -30,7 +30,6 @@ from finsat.normal_forms import (
     BasicKind,
     StandardNF,
     TransitiveNF,
-    WeakNF,
     basic_set_formula,
     conjunct_parts,
     fc_subset,
@@ -176,18 +175,34 @@ def test_model_expansion_over_fresh_predicates_only():
 def test_weak_to_standard_bookkeeping():
     eta = TRUE
     theta = Atom("p", ("x",))
-    w0 = WeakNF((), eta, (theta,))
+    w0 = StandardNF(eta, (theta,))
     assert weak_to_standard(w0) == StandardNF(eta, (theta,))
-    w1 = WeakNF((Atom("p", ("x",)),), eta, (theta,))
+    w1 = StandardNF(eta, (theta,), (Atom("p", ("x",)),))
     out = weak_to_standard(w1)
     assert out.multiplicity == 2
     assert print_formula(out.thetas[1]) == "p(x) | p(y)"
-    w2 = WeakNF((Atom("p", ("x",)), Atom("q", ("x",))), eta, (theta,))
+    w2 = StandardNF(eta, (theta,), (Atom("p", ("x",)), Atom("q", ("x",))))
     assert weak_to_standard(w2).multiplicity == 3
 
 
+def test_a_normal_form_checks_its_matrices_once(monkeypatch):
+    check = finsat.normal_forms._check_matrix
+    checked = []
+
+    def counting(f, what):
+        checked.append(f)
+        return check(f, what)
+
+    monkeypatch.setattr(finsat.normal_forms, "_check_matrix", counting)
+    thetas = (Atom("p", ("y",)), Atom("q", ("x",)))
+    z = (Atom("p", ("x",)), Atom("q", ("x",)), TRUE)
+    w = StandardNF(TRUE, thetas, z)
+    assert w.to_formula() == w.to_formula()
+    assert len(checked) == 1 + len(thetas) + len(z)
+
+
 def test_to_basic_vacuous_input():
-    w = WeakNF((), TRUE, (TRUE,))
+    w = StandardNF(TRUE, (TRUE,))
     psis, sig_star = to_basic(w, POU)
     assert len(sig_star.unary) == len(POU.unary) + 3
     kinds = {p.kind for p in psis}
@@ -199,7 +214,7 @@ def test_to_basic_vacuous_input():
 def test_to_basic_rejects_ordinary_binaries():
     sig = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
     with pytest.raises(Exception):
-        to_basic(WeakNF((), TRUE, (TRUE,)), sig)
+        to_basic(StandardNF(TRUE, (TRUE,)), sig)
 
 
 def test_antichain_basic_kind_inventory():
@@ -217,7 +232,7 @@ def test_antichain_basic_kind_inventory():
         parse_formula("p(x) -> (!(x<y) & !(y<x) & q(y))", POU),
         parse_formula("q(x) -> (x < y & p(y))", POU),
     )
-    w = WeakNF((Atom("p", ("x",)),), eta, thetas)
+    w = StandardNF(eta, thetas, (Atom("p", ("x",)),))
     psis, sig_star = to_basic(w, POU)
     assert len(sig_star.unary) == len(POU.unary) + 3 * w.multiplicity
     kinds = {p.kind for p in psis}
@@ -238,7 +253,7 @@ def test_to_basic_over_types_keeps_the_full_formulas_of_those_types(monkeypatch)
     # the count before building is what is built.
     eta = parse_formula("q(x) & q(y) -> (!(x<y) & !(y<x))", POU)
     thetas = (parse_formula("p(x) -> (x < y & q(y))", POU), parse_formula("q(x) -> !(x < y)", POU))
-    w = WeakNF((Atom("p", ("x",)),), eta, thetas)
+    w = StandardNF(eta, thetas, (Atom("p", ("x",)),))
     full, sig_star = to_basic(w, POU)
     types = enumerate_one_types(sig_star)[::40]
     relative, sig_t = to_basic(w, POU, reversed(types))
@@ -248,7 +263,7 @@ def test_to_basic_over_types_keeps_the_full_formulas_of_those_types(monkeypatch)
     }
     every_type = BasicFormula(BasicKind.B9, mu=disj(tp.formula("x") for tp in types))
     assert set(relative) == in_t | {every_type}
-    assert (len(full), len(types), len(relative)) == (17155, 7, 30)
+    assert (len(full), len(types), len(relative)) == (17075, 7, 30)
     monkeypatch.setattr(finsat.normal_forms, "MAX_BASIC_FORMULAS", 29)
     with pytest.raises(EnumerationBudgetError, match="at least 30 basic formulas"):
         to_basic(w, POU, types)
@@ -267,7 +282,7 @@ def test_to_basic_preserves_satisfiability_small():
             TRUE,
             parse_formula("!(x<y) | p(y)", sigu),
         ][seed % 3]
-        w = WeakNF((), eta, (theta,))
+        w = StandardNF(eta, (theta,))
         psis, sig_star = to_basic(w, sigu)
         for k in (2, 3, 4):
             lhs = sat_at(w.to_formula(), sigu, k)
@@ -344,8 +359,8 @@ def test_normal_forms_reject_bad_matrices(flaw):
 
     rejects("normal-form matrix", lambda: StandardNF(bad, (good,)))
     rejects("normal-form matrix", lambda: StandardNF(good, (good, bad)))
-    rejects("normal-form matrix", lambda: WeakNF((), bad, (good,)))
-    rejects("existential parts", lambda: WeakNF((good, bad), good, (good,)))
+    rejects("normal-form matrix", lambda: StandardNF(bad, (good,), (good,)))
+    rejects("existential parts", lambda: StandardNF(good, (good,), (good, bad)))
     guards = (("g0", "g1", "g2", "g3"),)
     rejects("transitive-NF matrix", lambda: TransitiveNF((good, good, bad, good), guards, ((good,) * 4,)))
     rejects("transitive-NF matrix", lambda: TransitiveNF((good,) * 4, guards, ((good, bad, good, good),)))
@@ -354,7 +369,7 @@ def test_normal_forms_reject_bad_matrices(flaw):
 def test_normal_forms_reject_misplaced_atoms():
     good = Atom("p", ("x",))
     with pytest.raises(LogicError, match="^existential parts must be unary in x$"):
-        WeakNF((Atom("p", ("y",)),), good, (good,))
+        StandardNF(good, (good,), (Atom("p", ("y",)),))
     cross = Or((good, Atom("t", ("y", "x"))))
     with pytest.raises(LogicError, match="must not mention cross atoms of t"):
         TransitiveNF((good, cross, good, good), (("g0", "g1", "g2", "g3"),), ((good,) * 4,))

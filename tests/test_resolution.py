@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import finsat.resolution
 from finsat.logic import (
     Atom,
     DistKind,
@@ -176,10 +177,10 @@ def test_strip_binary_examples():
 
 def test_complete_type_empty_and_forced():
     tau_minus = next(iter(enumerate_semi_diagonal_types(SIG)))
-    tau = complete_type(tau_minus, frozenset())
+    tau = complete_type(tau_minus, resolve_closure(frozenset()))
     assert tau is not None
     forced = cnf(parse_formula("r(x,y)", SIG), SIG)
-    tau = complete_type(tau_minus, forced)
+    tau = complete_type(tau_minus, resolve_closure(forced))
     assert tau is not None and tau.cross_of("r")[0]
 
 
@@ -187,7 +188,8 @@ def test_complete_type_agrees_with_brute_force():
     rng = random.Random(21)
     for trial in range(60):
         gamma = _random_clause_set(rng, SIG)
-        circ = strip_binary(resolve_closure(gamma))
+        closure = resolve_closure(gamma)
+        circ = strip_binary(closure)
         for tau_minus in enumerate_semi_diagonal_types(SIG):
             tl = semi_type_literals(tau_minus)
             entails = all(any(l in tl for l in c) for c in circ)
@@ -195,7 +197,7 @@ def test_complete_type_agrees_with_brute_force():
                 all(any(l in type_literals(t) for l in c) for c in gamma)
                 for t in tau_minus.extensions()
             )
-            got = complete_type(tau_minus, gamma)
+            got = complete_type(tau_minus, closure)
             if entails:
                 assert brute and got is not None
                 assert all(any(l in type_literals(got) for l in c) for c in gamma)
@@ -335,6 +337,35 @@ def test_eliminate_binaries_same_domains():
             rebuilt = reconstruct_model(res.spread, elim, m2)
             assert rebuilt.size == m2.size
             assert evaluate(rebuilt, res.spread.to_formula())
+
+
+#: Each element needs an r-witness of the next unary type in the cycle
+#: p & !q, !p & q, !p & !q, so the smallest model has 3 elements.
+CYCLE_3 = (
+    "!(p(x) & q(x))",
+    "r(x,y) & (p(x) & !q(x) -> !p(y) & q(y)) & (!p(x) & q(x) -> !p(y) & !q(y))"
+    " & (!p(x) & !q(x) -> p(y) & !q(y))",
+)
+
+
+def test_elimination_closes_each_clause_set_once(monkeypatch):
+    eta, theta = (parse_formula(t, SIG) for t in CYCLE_3)
+    snf = StandardNF(eta, (theta,))
+    res = to_spread(snf, smallest_model(snf.to_formula(), SIG, UP_TO_5))
+    closures = []
+
+    def counting(cs):
+        closures.append(cs)
+        return resolve_closure(cs)
+
+    monkeypatch.setattr(finsat.resolution, "resolve_closure", counting)
+    elim = eliminate_binaries(res.spread)
+    m2 = smallest_model(elim.weak.to_formula(), elim.sig_prime, UP_TO_5)
+    assert m2.size >= 3
+    rebuilt = reconstruct_model(res.spread, elim, m2)
+    assert evaluate(rebuilt, snf.to_formula())
+    # The universal set, then the universal set with each witness set.
+    assert len(closures) == 1 + len(res.spread.deltas)
 
 
 def test_reconstruct_rejects_non_models():

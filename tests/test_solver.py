@@ -434,7 +434,7 @@ def _basic_sets():
     po = DIFF_SIGS["po"]
     phi = parse_formula("forall x (p(x) -> exists y (x < y & q(y))) & exists x p(x)", po)
     snf, sig1 = to_standard_nf(phi, po)
-    compiled, sig_star = to_basic(snf.to_weak(), sig1)
+    compiled, sig_star = to_basic(snf, sig1)
     pair_kinds = (BasicKind.B1B, BasicKind.B2B, BasicKind.B3, BasicKind.B4, BasicKind.B5B)
     types = enumerate_one_types(po)
     pairs = [BasicFormula(k, alpha=a, beta=b) for k in pair_kinds for a, b in itertools.permutations(types, 2)]

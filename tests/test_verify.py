@@ -13,7 +13,7 @@ from finsat.cliques import EnumerationBudget, EnumerationBudgetError, cliquify
 from finsat.factorization import TypedPartialOrder
 from finsat.logic import TRUE, DistKind, Signature, Structure, VerificationFailure, enumerate_one_types
 from finsat.normal_forms import (
-    WeakNF,
+    StandardNF,
     basic_set_formula,
     label_witnesses,
     to_basic,
@@ -78,7 +78,7 @@ CASES = {
             ("normal form implies the input", "pass", "checked on the found model"),
             ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
             ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
-            ("basic compilation", "pass", "24 basic formulas over 2 realized 1-types, signature growth exactly 18"),
+            ("basic compilation", "pass", "14 basic formulas over 2 realized 1-types, signature growth exactly 18"),
             ("basic-set model search", "pass", "model of size 2"),
             ("factorization (unitary, controlled)", "pass", "2 blocks, 0 controlled constraints"),
             ("thinning preserves the basic set", "pass", ""),
@@ -95,7 +95,7 @@ CASES = {
             ("normal form implies the input", "pass", "checked on the found model"),
             ("spread normal form", "pass", "multiplicity 6, witness model of size 2"),
             ("binary elimination", "pass", "model of size 2 reconstructed and re-verified"),
-            ("basic compilation", "pass", "23 basic formulas over 2 realized 1-types, signature growth exactly 18"),
+            ("basic compilation", "pass", "13 basic formulas over 2 realized 1-types, signature growth exactly 18"),
             ("basic-set model search", "pass", "model of size 2"),
             ("factorization (unitary, controlled)", "pass", "2 blocks, 1 controlled constraints"),
             ("thinning preserves the basic set", "pass", ""),
@@ -111,7 +111,7 @@ CASES = {
         [
             ("standard normal form", "pass", "multiplicity 4, 0 fresh predicates"),
             ("normal form implies the input", "pass", "checked on the found model"),
-            ("basic compilation", "pass", "25 basic formulas over 4 realized 1-types, signature growth exactly 12"),
+            ("basic compilation", "pass", "17 basic formulas over 4 realized 1-types, signature growth exactly 12"),
             ("basic-set model search", "pass", "model of size 4"),
             ("factorization (unitary, controlled)", "pass", "4 blocks, 0 controlled constraints"),
             ("thinning preserves the basic set", "pass", ""),
@@ -165,7 +165,7 @@ def test_to_basic_refuses_eleven_bits_at_once():
     # m = 3 adds 9 direction labels to the 2 predicates of the signature,
     # and the universal constraint relates every one of the 4**11 pairs of
     # 1-types: 3 + 9 * 2**10 + 4**11 basic formulas.
-    w = WeakNF((), parse_formula("x < y | y < x", PO_PQ), (TRUE, TRUE, TRUE))
+    w = StandardNF(parse_formula("x < y | y < x", PO_PQ), (TRUE, TRUE, TRUE))
     start = time.perf_counter()
     with pytest.raises(
         EnumerationBudgetError,
@@ -176,9 +176,12 @@ def test_to_basic_refuses_eleven_bits_at_once():
 
 
 def test_to_basic_compiles_eleven_bits_when_the_count_is_small():
-    # The same 11 bits without a universal constraint: 3 + 9 * 2**10.
-    psis, sig_star = to_basic(WeakNF((), TRUE, (TRUE, TRUE, TRUE)), PO_PQ)
-    assert (len(psis), len(sig_star.unary)) == (9219, 11)
+    # The same 11 bits without a universal constraint: 3 + 9 * 2**10
+    # built.  The three witness conjuncts are alike, so a 1-type that
+    # carries a direction's label of any of them gets one formula for that
+    # direction: 3 + 3 * (2**11 - 2**8) are kept.
+    psis, sig_star = to_basic(StandardNF(TRUE, (TRUE, TRUE, TRUE)), PO_PQ)
+    assert (len(psis), len(sig_star.unary)) == (5379, 11)
 
 
 # Three witness conjuncts over p and q (m = 3, 11 bits): every element
@@ -228,7 +231,7 @@ def test_to_basic_counts_before_building(monkeypatch):
     monkeypatch.setattr(finsat.normal_forms, "BasicFormula", _refuse_to_build)
     snf, sig1 = to_standard_nf(parse_formula(THREE_WITNESSES, PO_PQ), PO_PQ)
     with pytest.raises(EnumerationBudgetError, match=f"^{THREE_WITNESSES_REFUSAL}$"):
-        to_basic(snf.to_weak(), sig1)
+        to_basic(snf, sig1)
 
 
 # Every element has an incomparable partner: 13 basic formulas.
@@ -256,7 +259,7 @@ def test_block_failure_on_770_formulas_is_minimized_in_seconds(monkeypatch):
     monkeypatch.setattr(finsat.verify, "shrink_blocks", _broken_shrink_blocks)
     text, sig = CASES["l2-1po-u"][:2]
     snf, sig1 = to_standard_nf(parse_formula(text, sig), sig)
-    psis, sig_star = to_basic(snf.to_weak(), sig1)
+    psis, sig_star = to_basic(snf, sig1)
     assert len(psis) == 770
     model = smallest_model(basic_set_formula(psis), sig_star, SearchBudget(max_size=4, node_limit=NODES))
     start = time.perf_counter()
