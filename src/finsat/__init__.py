@@ -56,7 +56,6 @@ from .factorization import (
     factor_for_b5b,
     factorize_for,
     fc_holds,
-    is_refinement,
     is_thin,
     thin,
     trivial_factorization,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .logic import (
@@ -59,10 +58,6 @@ from .resolution import labels
 class CliqueDecomposition:
     cliques: tuple[frozenset[int], ...]  # sorted by least member
     order: frozenset[Pair]  # clique indices, the induced strict order
-
-    @cached_property
-    def clique_of(self) -> dict[int, int]:
-        return {a: i for i, c in enumerate(self.cliques) for a in c}
 
     def relation(self, i: int, j: int) -> str:
         if i == j:

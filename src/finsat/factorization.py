@@ -287,23 +287,6 @@ def factor_for_b5b(tpo: TypedPartialOrder, alpha: OneType, beta: OneType) -> Fac
     return _mk(tpo, blocks, pairs)
 
 
-def is_refinement(fine: Factorization, coarse: Factorization) -> bool:
-    """Whether every fine block sits inside a coarse block and the coarse
-    order transfers."""
-    if fine.tpo != coarse.tpo:
-        return False
-    container: dict[int, int] = {}
-    for i, b in enumerate(fine.blocks):
-        hits = [j for j, c in enumerate(coarse.blocks) if b <= c]
-        if len(hits) != 1:
-            return False
-        container[i] = hits[0]
-    for i, j in itertools.permutations(range(fine.n_blocks), 2):
-        if coarse.less(container[i], container[j]) and not fine.less(i, j):
-            return False
-    return True
-
-
 def common_refinement(f1: Factorization, f2: Factorization) -> Factorization:
     """The pairwise-intersection factorization refining both inputs."""
     if f1.tpo != f2.tpo:

@@ -436,17 +436,6 @@ def formula_predicates(f: Formula) -> frozenset[str]:
     return frozenset(g.pred for g in subformulas(f) if isinstance(g, Atom))
 
 
-def formula_size(f: Formula) -> int:
-    """Node occurrences, plus one per atom argument and per binder."""
-    return sum(
-        1 + len(g.args) if isinstance(g, Atom)
-        else 3 if isinstance(g, Eq)
-        else 2 if isinstance(g, (Forall, Exists))
-        else 1
-        for g, _, _ in occurrences(f)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Atom keys
 # ---------------------------------------------------------------------------
@@ -787,9 +776,6 @@ class TwoType:
             self.sig, self.y, self.x, tuple((b, a) for a, b in self.cross), self.nav[::-1]
         )
 
-    def cross_of(self, r: str) -> tuple[bool, bool]:
-        return self.cross[self.sig.binary.index(r)]
-
     def literals(self) -> tuple[Formula, ...]:
         out = list(self.x.literals("x")) + list(self.y.literals("y"))
         for r, (fwd, bwd) in zip(self.sig.binary, self.cross):
@@ -824,13 +810,6 @@ class SemiDiagonalTwoType:
     def __post_init__(self) -> None:
         _check_nav(self.sig, self.x, self.y, self.nav)
 
-    def extensions(self) -> Iterator[TwoType]:
-        """All 2-types refining this semi-diagonal 2-type."""
-        for cross in itertools.product(
-            itertools.product((False, True), repeat=2), repeat=len(self.sig.binary)
-        ):
-            yield TwoType(self.sig, self.x, self.y, tuple(cross), self.nav)
-
     def with_cross(self, cross: tuple[tuple[bool, bool], ...]) -> TwoType:
         return TwoType(self.sig, self.x, self.y, cross, self.nav)
 
@@ -857,24 +836,15 @@ def enumerate_nav(sig: Signature, x: OneType, y: OneType) -> tuple[tuple[bool, b
     return ((False, False),)
 
 
-def enumerate_semi_diagonal_types(sig: Signature) -> Iterator[SemiDiagonalTwoType]:
-    types = enumerate_one_types(sig)
-    for tx in types:
-        for ty in types:
-            for nav in enumerate_nav(sig, tx, ty):
-                yield SemiDiagonalTwoType(sig, tx, ty, nav)
-
-
 def eval_unary_on_type(f: Formula, tp: OneType, var: str = "x") -> bool:
     """Truth of a quantifier-free one-variable formula at a 1-type, read
     off the type's canonical 1-element structure."""
     return evaluate(_realize(tp.sig, (tp,)), f, {var: 0})
 
 
-def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
-    """The canonical structure whose elements 0, 1, ... carry types; cross
-    holds the (r(0,1), r(1,0)) polarities of each ordinary binary r, then
-    those of the distinguished relation."""
+def _realize(sig: Signature, types: tuple[OneType, ...]) -> Structure:
+    """The canonical structure whose elements 0, 1, ... carry types, with
+    no pair of distinct elements related."""
     unary: dict[str, set[int]] = {p: set() for p in sig.unary}
     binary: dict[str, set[Pair]] = {r: set() for r in sig.binary}
     dist: set[Pair] = set()
@@ -884,11 +854,6 @@ def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
                 unary[key[1]].add(e)
             elif bit:
                 (binary[key[1]] if key[0] == "b" else dist).add((e, e))
-    for ext, (fwd, bwd) in zip([binary[r] for r in sig.binary] + [dist], cross):
-        if fwd:
-            ext.add((0, 1))
-        if bwd:
-            ext.add((1, 0))
     return Structure(
         sig,
         len(types),
@@ -896,8 +861,3 @@ def _realize(sig: Signature, types: tuple[OneType, ...], cross=()) -> Structure:
         {r: frozenset(v) for r, v in binary.items()},
         frozenset(dist),
     )
-
-
-def pair_structure(tau: TwoType) -> Structure:
-    """The canonical 2-element structure realizing tau on the pair (0, 1)."""
-    return _realize(tau.sig, (tau.x, tau.y), tau.cross + (tau.nav,))

@@ -7,8 +7,10 @@ permutation symmetry while staying exhaustive up to isomorphism) and then
 2-types to pairs, propagating the distinguished relation's constraints and
 filtering against the universal part pair by pair; it enumerates every pair
 alternative directly, so it takes only signatures with few 1-types and few
-pair alternatives.  Its pair tables read each candidate 2-type both ways on
-one 2-element structure, with formulas checked once per engine.  The grounded
+pair alternatives.  Its pair tables are built once per unordered pair of
+1-types: each candidate 2-type is read off its bits, both ways, by one truth
+walk, with formulas checked once per engine, and the table of the reversed
+pair is the same table with each 2-type swapped.  The grounded
 engine translates the formula and the distinguished relation's axioms into
 propositional clauses over the fixed domain; it takes every wider signature,
 such as those produced by binary elimination and the clique reduction.  Every
@@ -58,7 +60,6 @@ from .logic import (
     free_vars,
     is_quantifier_free,
     neg,
-    pair_structure,
     rewrite,
     simplify,
     subformulas,
@@ -206,6 +207,14 @@ def _collect_usage(phi: Formula, sig: Signature) -> _Usage:
 # ---------------------------------------------------------------------------
 
 
+class _PairStructure(Structure):
+    """A 2-element structure read off validated 1-types and a validated
+    TwoType, so Structure's checks are skipped."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
 class _TypedEngine:
     """The typed engine for phi; its 1-type and pair tables do not depend
     on the domain size, so one engine serves every size searched."""
@@ -261,12 +270,16 @@ class _TypedEngine:
         with bitmasks of the witness conjuncts each direction satisfies.
 
         Every alternative of the active cross and navigation bits is
-        enumerated and kept if the universal part holds in both
-        orientations; _engine sends signatures with more alternatives
-        than this can afford to the grounded engine.  Each alternative tau
-        is read on one pair_structure, at (0, 1) for tau and at (1, 0) for
-        tau.swap(); the universal part is read first, so a rejected tau
-        costs no witness reads."""
+        listed, in _cross_choices() product order and then enumerate_nav
+        order, and kept if the universal part holds in both orientations;
+        _engine sends signatures with more alternatives than this can
+        afford to the grounded engine.  Each unordered pair of 1-types is
+        read once, at ti <= tj (see _read_pair).  The (tj, ti) table is
+        that table with each tau swapped and fwd and bwd exchanged, put in
+        the order a direct build lists, so that _pairs' row-lex symmetry
+        breaking sees the same indices.  The swap keeps the same
+        alternatives: u2 is read both ways, and the cross and navigation
+        alternatives are closed under swap."""
         hit = self._pair_cache.get((ti, tj))
         if hit is not None:
             return hit
@@ -275,22 +288,57 @@ class _TypedEngine:
         # between distinct elements.
         use = self.usage
         navs = enumerate_nav(self.sig, tx, ty) if use.nav or use.t_cross else ((False, False),)
-        entries = []
-        for cross in itertools.product(*self._cross_choices()):
-            for nav in navs:
-                tau = TwoType(self.sig, tx, ty, cross, nav)
-                s = pair_structure(tau)
-                xy, yx = tarski(s, {"x": 0, "y": 1}), tarski(s, {"x": 1, "y": 0})
-                if not (xy(self.u2) and yx(self.u2)):
-                    continue
-                fwd = bwd = 0
-                for h, th in enumerate(self.shape.thetas):
-                    if xy(th):
-                        fwd |= 1 << h
-                    if yx(th):
-                        bwd |= 1 << h
-                entries.append((tau, fwd, bwd))
+        alts = itertools.product(itertools.product(*self._cross_choices()), navs)
+        if ti <= tj:
+            entries = self._read_pair(tx, ty, alts)
+        else:
+            rank = {alt: k for k, alt in enumerate(alts)}
+            entries = sorted(
+                ((tau.swap(), bwd, fwd) for tau, fwd, bwd in self._pair_entries(tj, ti)),
+                key=lambda e: rank[e[0].cross, e[0].nav],
+            )
         self._pair_cache[(ti, tj)] = entries
+        return entries
+
+    def _read_pair(self, tx: OneType, ty: OneType, alts) -> list:
+        """The kept alternatives (cross, nav) of the pair (tx, ty), each read
+        from its bits.  The pair's unary and loop extensions are built
+        once; each alternative adds its cross and nav pairs, and one truth
+        walk reads it at (0, 1) and, with x and y rebound, at (1, 0).  The
+        universal part is read first, so a rejected alternative costs no
+        witness reads."""
+        sig, ends = self.sig, (tx, ty)
+        unary = {p: frozenset(e for e in (0, 1) if ends[e].unary_polarity(p)) for p in sig.unary}
+
+        def extensions(key) -> dict:
+            """key's loops on the pair, plus (0, 1) and (1, 0) as each
+            (fwd, bwd) bit pair says."""
+            loops = [(e, e) for e in (0, 1) if key and ends[e].polarity(key)]
+            return {
+                (f, b): frozenset(loops + [(0, 1)] * f + [(1, 0)] * b)
+                for f, b in itertools.product((False, True), repeat=2)
+            }
+
+        binary = [extensions(("b", r, "x", "x")) for r in sig.binary]
+        dist = extensions(("t", "x", "x") if sig.dist is DistKind.TRANSITIVE else None)
+        u2, thetas = self.u2, self.shape.thetas
+        env: dict[str, int] = {}
+        xy, yx = {"x": 0, "y": 1}, {"x": 1, "y": 0}
+        entries = []
+        for cross, nav in alts:
+            tau = TwoType(sig, tx, ty, cross, nav)
+            ext = {r: b[c] for r, b, c in zip(sig.binary, binary, cross)}
+            holds = tarski(_PairStructure(sig, 2, unary, ext, dist[nav]), env)
+            env.update(xy)
+            if not holds(u2):
+                continue
+            env.update(yx)
+            if not holds(u2):
+                continue
+            bwd = sum(1 << h for h, th in enumerate(thetas) if holds(th))
+            env.update(xy)
+            fwd = sum(1 << h for h, th in enumerate(thetas) if holds(th))
+            entries.append((tau, fwd, bwd))
         return entries
 
     def _reachable_mask(self, ti: int) -> int:
@@ -563,14 +611,19 @@ def decide(
 
     For the transitive logic, each size first tests single-clique
     satisfiability (a total distinguished relation) by replacing its atoms
-    with verum, then searches general models of that size.  A negative
-    answer is sound only up to the bound and is labeled as such.
+    with verum, then searches general models of that size; the general
+    engine is built at the first size that search is needed.  A formula
+    with free variables is refused before any search.  A negative answer
+    is sound only up to the bound and is labeled as such.
     """
     budget = budget or SearchBudget()
     _check_logic(sig, logic)
+    free = free_vars(phi)
+    if free:
+        raise PreconditionError(f"unassigned free variables {sorted(free)}")
     plain = Signature(sig.unary, sig.binary, DistKind.NONE)
     clique = _engine(simplify(_subst_t_top(phi)), plain) if logic == "l2-1t" else None
-    general = _engine(phi, sig)
+    general = None
     try:
         for k in range(2, budget.max_size + 1):
             m = None if clique is None else clique.run(k, budget.node_limit)
@@ -580,6 +633,7 @@ def decide(
                 if not evaluate(m, phi):
                     raise VerificationFailure("single-clique lift failed verification")
             else:
+                general = general or _engine(phi, sig)
                 m = general.run(k, budget.node_limit)
             if m is not None:
                 return DecisionOutcome.sat(m)

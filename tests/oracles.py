@@ -22,7 +22,10 @@ from finsat.logic import (
     Implies,
     Not,
     Or,
+    SemiDiagonalTwoType,
     Structure,
+    enumerate_nav,
+    enumerate_one_types,
 )
 
 
@@ -95,6 +98,61 @@ def naive_free_vars(f) -> frozenset[str]:
     if isinstance(f, (Forall, Exists)):
         return naive_free_vars(f.body) - {f.var}
     raise TypeError(f)
+
+
+def formula_size(f) -> int:
+    """Node occurrences, plus one per atom argument and per binder, by
+    plain recursion."""
+    if isinstance(f, Atom):
+        return 1 + len(f.args)
+    if isinstance(f, Eq):
+        return 3
+    if isinstance(f, Not):
+        return 1 + formula_size(f.sub)
+    if isinstance(f, (And, Or)):
+        return 1 + sum(map(formula_size, f.subs))
+    if isinstance(f, Implies):
+        return 1 + formula_size(f.left) + formula_size(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return 2 + formula_size(f.body)
+    raise TypeError(f)
+
+
+def pair_structure(tau) -> Structure:
+    """The 2-element structure realizing the 2-type tau on the pair (0, 1),
+    read literal by literal off its 1-types, its cross bits and its
+    distinguished bits."""
+    sig, ends = tau.sig, (tau.x, tau.y)
+
+    def relation(loop_key, fwd: bool, bwd: bool) -> frozenset:
+        out = {(e, e) for e in (0, 1) if loop_key is not None and ends[e].polarity(loop_key)}
+        if fwd:
+            out.add((0, 1))
+        if bwd:
+            out.add((1, 0))
+        return frozenset(out)
+
+    unary = {p: frozenset(e for e in (0, 1) if ends[e].polarity(("u", p, "x"))) for p in sig.unary}
+    binary = {r: relation(("b", r, "x", "x"), *bits) for r, bits in zip(sig.binary, tau.cross)}
+    loop = ("t", "x", "x") if sig.dist is DistKind.TRANSITIVE else None
+    return Structure(sig, 2, unary, binary, relation(loop, *tau.nav))
+
+
+def enumerate_semi_diagonal_types(sig):
+    """Every semi-diagonal 2-type over sig: each ordered pair of 1-types,
+    with each distinguished bit pair their loops allow."""
+    types = enumerate_one_types(sig)
+    for tx in types:
+        for ty in types:
+            for nav in enumerate_nav(sig, tx, ty):
+                yield SemiDiagonalTwoType(sig, tx, ty, nav)
+
+
+def extensions(semi):
+    """Every 2-type refining the semi-diagonal 2-type semi."""
+    bits = itertools.product((False, True), repeat=2)
+    for cross in itertools.product(tuple(bits), repeat=len(semi.sig.binary)):
+        yield semi.with_cross(cross)
 
 
 def quadratic_order_violations(rel, strict: bool) -> list[str]:

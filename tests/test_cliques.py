@@ -14,7 +14,6 @@ from finsat.logic import (
     Structure,
     check_distinguished,
     evaluate,
-    formula_size,
     one_type_of,
     simplify,
 )
@@ -42,7 +41,7 @@ from finsat.solver import find_model, random_structure
 from finsat.verify import pipeline_verify
 
 from fixtures import MIN_INF, TS
-from oracles import scc_partition
+from oracles import formula_size, scc_partition
 
 BARE = Signature((), (), DistKind.TRANSITIVE)
 
@@ -58,9 +57,10 @@ def test_cliques_one_edge():
     s = Structure(TS, 3, {}, {}, frozenset({(0, 1)}))
     dec = cliques_of(s)
     assert len(dec.cliques) == 3
-    i0, i1 = dec.clique_of[0], dec.clique_of[1]
+    clique_of = {a: i for i, c in enumerate(dec.cliques) for a in c}
+    i0, i1 = clique_of[0], clique_of[1]
     assert (i0, i1) in dec.order
-    i2 = dec.clique_of[2]
+    i2 = clique_of[2]
     assert dec.relation(i2, i0) == "sim" and dec.relation(i2, i1) == "sim"
 
 

@@ -18,7 +18,6 @@ from finsat.factorization import (
     factor_for_b5b,
     factorize_for,
     fc_holds,
-    is_refinement,
     is_thin,
     thin,
     transitive_closure,
@@ -114,9 +113,9 @@ def test_refinement_laws():
     for seed in range(30):
         tpo = random_tpo(seed, 5)
         f = trivial_factorization(tpo)
-        assert is_refinement(f, f)
+        assert refines(f, f)
         u = unit_refinement(f)
-        assert is_refinement(u, f)
+        assert refines(u, f)
 
 
 def test_common_refinement_idempotent_and_refines_both():
@@ -135,7 +134,6 @@ def test_common_refinement_idempotent_and_refines_both():
             continue
         g = factor_for_b5b(tpo, *pair)
         both = common_refinement(trivial, g)
-        assert is_refinement(both, trivial) and is_refinement(both, g)
         assert refines(both, trivial) and refines(both, g)
         assert common_refinement(both, g) == both
 

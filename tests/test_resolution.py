@@ -7,12 +7,13 @@ import pytest
 
 import finsat.resolution
 from finsat.logic import (
+    And,
     Atom,
     DistKind,
+    Exists,
     key_formula,
     Signature,
     Structure,
-    enumerate_semi_diagonal_types,
     evaluate,
     one_type_of,
     two_type_of,
@@ -35,10 +36,10 @@ from finsat.resolution import (
     transpose,
     type_literals,
 )
-from finsat.solver import SearchBudget, random_structure, smallest_model
+from finsat.solver import SearchBudget, random_formula, random_structure, smallest_model
 
 from fixtures import REWRITE_SIGS
-from oracles import naive_eval
+from oracles import enumerate_semi_diagonal_types, extensions, naive_eval
 
 SIG = Signature(("p", "q"), ("r",), DistKind.PARTIAL_ORDER)
 SIG2 = Signature(("p",), ("r", "s"), DistKind.PARTIAL_ORDER)
@@ -127,7 +128,7 @@ def test_resolution_soundness_by_truth_table():
         cs = _random_clause_set(rng, SIG)
         closure = resolve_closure(cs)
         for tau_minus in enumerate_semi_diagonal_types(SIG):
-            for tau in tau_minus.extensions():
+            for tau in extensions(tau_minus):
                 tl = type_literals(tau)
                 sat_gamma = all(any(l in tl for l in c) for c in cs)
                 if sat_gamma:
@@ -137,7 +138,7 @@ def test_resolution_soundness_by_truth_table():
     for _ in range(30):
         cs = _random_clause_set(rng, SIG)
         closure = resolve_closure(cs)
-        tau = next(next(iter(enumerate_semi_diagonal_types(SIG))).extensions())
+        tau = next(extensions(next(enumerate_semi_diagonal_types(SIG))))
         tl = type_literals(tau)
         if all(any(l in tl for l in c) for c in cs):
             assert all(any(l in tl for l in c) for c in closure)
@@ -176,12 +177,12 @@ def test_strip_binary_examples():
 
 
 def test_complete_type_empty_and_forced():
-    tau_minus = next(iter(enumerate_semi_diagonal_types(SIG)))
+    tau_minus = next(enumerate_semi_diagonal_types(SIG))
     tau = complete_type(tau_minus, resolve_closure(frozenset()))
     assert tau is not None
     forced = cnf(parse_formula("r(x,y)", SIG), SIG)
     tau = complete_type(tau_minus, resolve_closure(forced))
-    assert tau is not None and tau.cross_of("r")[0]
+    assert tau is not None and tau.cross[SIG.binary.index("r")][0]
 
 
 def test_complete_type_agrees_with_brute_force():
@@ -195,7 +196,7 @@ def test_complete_type_agrees_with_brute_force():
             entails = all(any(l in tl for l in c) for c in circ)
             brute = any(
                 all(any(l in type_literals(t) for l in c) for c in gamma)
-                for t in tau_minus.extensions()
+                for t in extensions(tau_minus)
             )
             got = complete_type(tau_minus, closure)
             if entails:
@@ -379,6 +380,25 @@ def test_reconstruct_rejects_non_models():
     if not evaluate(bogus, elim.weak.to_formula()):
         with pytest.raises(Exception):
             reconstruct_model(res.spread, elim, bogus)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_reconstruction_completes_lambda_witness_pairs(seed, monkeypatch):
+    # A model of the eliminated formula with a lambda_0 element is a model
+    # of the eliminated formula, and reconstruct_model completes each of
+    # that element's witness pairs against a closed witness clause set.
+    sig = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
+    phi = random_formula(seed, sig, 3)
+    snf, sig1 = to_standard_nf(phi, sig)
+    res = to_spread(snf, smallest_model(snf.to_formula(), sig1, SearchBudget(max_size=3)))
+    elim = eliminate_binaries(res.spread)
+    labelled = And((elim.weak.to_formula(), Exists("x", res.spread.lams[0])))
+    m2 = smallest_model(labelled, elim.sig_prime, UP_TO_5)
+    closures = []
+    monkeypatch.setattr(finsat.resolution, "complete_type", lambda tm, cl: closures.append(cl) or complete_type(tm, cl))
+    rebuilt = reconstruct_model(res.spread, elim, m2)
+    assert evaluate(rebuilt, phi)
+    assert any(cl is delta for cl in closures for delta in elim.delta_closed)
 
 
 def test_type_literals_hold_in_their_structure():

@@ -29,7 +29,6 @@ from finsat.logic import (
     enumerate_nav,
     enumerate_one_types,
     evaluate,
-    pair_structure,
     subformulas,
 )
 from finsat.normal_forms import (
@@ -63,6 +62,7 @@ from oracles import (
     expand_definitions,
     expansion_by_enumeration,
     naive_eval,
+    pair_structure,
     unit_propagate,
 )
 
@@ -97,6 +97,26 @@ def test_decide_tries_both_searches_at_each_size():
     out = decide(phi, sig, "l2-1t", SearchBudget(max_size=4))
     assert out.kind == "sat" and out.size == 2
     assert evaluate(out.model, phi)
+
+
+def test_decide_builds_the_general_engine_only_when_the_clique_search_fails(monkeypatch):
+    built = []
+    monkeypatch.setattr(solver, "_engine", lambda phi, sig: built.append(sig.dist) or _engine(phi, sig))
+    # The random-6 transitive NF has a single-clique model of size 2, so
+    # only the clique engine, over the plain signature, is built.
+    sig = Signature(("p",), (), DistKind.TRANSITIVE)
+    tnf, sig1 = to_transitive_nf(random_formula(6, sig, depth=2), sig)
+    out = decide(tnf.to_formula(), sig1, "l2-1t", SearchBudget(max_size=3))
+    assert (out.kind, out.size, built) == ("sat", 2, [DistKind.NONE])
+    # The axiom of infinity has no model: both engines, each built once.
+    built.clear()
+    assert decide(parse_formula(AXIOM, T0), T0, "l2-1t", SearchBudget(max_size=3)).kind == "no_model_up_to"
+    assert built == [DistKind.NONE, DistKind.TRANSITIVE]
+    # A free variable is refused before any engine is built.
+    built.clear()
+    with pytest.raises(PreconditionError, match=r"unassigned free variables \['y'\]"):
+        decide(parse_formula("exists x t(x,y)", T0), T0, "l2-1t")
+    assert built == []
 
 
 def test_decide_no_model_up_to_the_bound():
@@ -377,23 +397,32 @@ def test_grounded_engine_refuses_a_free_variable():
         _engine(parse_formula("exists x (p(x) & !p(y))", plain), plain, "typed")
 
 
-def test_pair_tables_read_each_two_type_on_one_structure(monkeypatch):
+def _random_3_tnf():
+    """The transitive NF of random formula 3 over (p): 64 candidate
+    1-types, half with a t loop, so mutual t pairs are candidates."""
     sig = Signature(("p",), (), DistKind.TRANSITIVE)
     tnf, sig1 = to_transitive_nf(random_formula(3, sig, depth=2), sig)
-    engine = _engine(tnf.to_formula(), sig1, "typed")
-    types, thetas = engine.types, engine.shape.thetas
+    return tnf.to_formula(), sig1
+
+
+def test_pair_tables_read_each_two_type_on_one_structure(monkeypatch):
+    engine = _engine(*_random_3_tnf(), "typed")
+    sig1, types, thetas = engine.sig, engine.types, engine.shape.thetas
     assert engine.shape.universal2 and thetas
-    built, walks = [], []
-    monkeypatch.setattr(solver, "pair_structure", lambda tau: built.append(tau) or pair_structure(tau))
+    built, walked, walks = [], [], []
+    monkeypatch.setattr(solver, "TwoType", lambda *args: built.append(logic.TwoType(*args)) or built[-1])
+    monkeypatch.setattr(solver, "tarski", lambda s, env: walked.append(s) or logic.tarski(s, env))
     for module in (solver, logic):
         monkeypatch.setattr(module, "free_vars", lambda f: walks.append(f) or logic.free_vars(f))
     pairs = list(itertools.product(range(len(types)), repeat=2))
     kept = {tau: (fwd, bwd) for ti, tj in pairs for tau, fwd, bwd in engine._pair_entries(ti, tj)}
     monkeypatch.undo()
-    # One structure per candidate 2-type, and no free-variable walk.
+    # One candidate read per unordered pair of 1-types, on one structure,
+    # and no free-variable walk.
     crosses = len(list(itertools.product(*engine._cross_choices())))
-    want = sum(crosses * len(enumerate_nav(sig1, types[ti], types[tj])) for ti, tj in pairs)
-    assert len(built) == len(set(built)) == want
+    want = sum(crosses * len(enumerate_nav(sig1, types[ti], types[tj])) for ti, tj in pairs if ti <= tj)
+    assert len(built) == len(set(built)) == len(walked) == want
+    assert all(types.index(tau.x) <= types.index(tau.y) for tau in built)
     assert walks == []
 
     def reads(tau, f):
@@ -410,6 +439,67 @@ def test_pair_tables_read_each_two_type_on_one_structure(monkeypatch):
     for tau in built:
         if tau.x == row:
             assert (tau in kept) == all(reads(tau, engine.u2))
+
+
+def _direct_table(engine, ti, tj):
+    """The (ti, tj) pair table as a direct build lists it: every candidate
+    in _cross_choices() product order, then enumerate_nav order, read with
+    evaluate on oracles.pair_structure and kept if u2 holds both ways."""
+    tx, ty = engine.types[ti], engine.types[tj]
+    use = engine.usage
+    navs = enumerate_nav(engine.sig, tx, ty) if use.nav or use.t_cross else ((False, False),)
+    xy, yx = {"x": 0, "y": 1}, {"x": 1, "y": 0}
+    out = []
+    for cross, nav in itertools.product(itertools.product(*engine._cross_choices()), navs):
+        tau = logic.TwoType(engine.sig, tx, ty, cross, nav)
+        s = pair_structure(tau)
+        if evaluate(s, engine.u2, xy) and evaluate(s, engine.u2, yx):
+            fwd, bwd = (sum(evaluate(s, th, env) << h for h, th in enumerate(engine.shape.thetas)) for env in (xy, yx))
+            out.append((tau, fwd, bwd))
+    return out
+
+
+PO_PQ = Signature(("p", "q"), (), DistKind.PARTIAL_ORDER)
+PO_PR = Signature(("p",), ("r",), DistKind.PARTIAL_ORDER)
+#: Pair-table inputs besides the random-3 transitive NF: a partial order
+#: whose universal part reads < and ~, and one with r in both directions.
+MIRROR_CASES = {
+    "po-nav": (
+        "forall x forall y (x ~ y -> p(x) | q(y)) & forall x forall y (x < y & p(x) -> !q(y))"
+        " & forall x exists y (x < y & q(y) | y < x & !p(y)) & forall x exists y (x ~ y & p(y))",
+        PO_PQ,
+    ),
+    "po-cross": (
+        "forall x forall y (r(x,y) & x < y -> !r(y,x) | p(y)) & forall x forall y (x ~ y -> r(x,y) | p(x))"
+        " & forall x exists y (r(x,y) & !r(y,x)) & forall x exists y (y < x & r(y,x) & p(y))",
+        PO_PR,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["random-3-tnf", *MIRROR_CASES])
+def test_a_mirrored_pair_table_equals_a_direct_build(case):
+    if case == "random-3-tnf":
+        phi, sig = _random_3_tnf()
+    else:
+        text, sig = MIRROR_CASES[case]
+        phi = parse_formula(text, sig)
+    engine = _engine(phi, sig, "typed")
+    u2_preds = {f.pred for f in subformulas(engine.u2) if isinstance(f, Atom)}
+    assert {
+        # Two t loops make the mutual t pair a candidate.
+        "random-3-tnf": engine.usage.t_cross and any(tp.t_diag for tp in engine.types),
+        "po-nav": {"<", "~"} <= u2_preds,
+        "po-cross": engine.usage.cross == {"r"} and engine.usage.nav,
+    }[case]
+    count = len(engine.types)
+    tables = {(ti, tj): engine._pair_entries(ti, tj) for ti in range(count) for tj in range(count)}
+    for (ti, tj), table in tables.items():
+        assert table == _direct_table(engine, ti, tj), (ti, tj)
+    # The mirror reorders its entries and exchanges fwd and bwd.
+    mirrored = [(ti, tj) for ti, tj in tables if ti > tj]
+    assert any([tau.swap() for tau, _, _ in tables[tj, ti]] != [tau for tau, _, _ in tables[ti, tj]] for ti, tj in mirrored)
+    assert any(fwd != bwd for ti, tj in mirrored for _, fwd, bwd in tables[ti, tj])
 
 
 def _unshared(f):
