@@ -5,7 +5,10 @@ formula; one engine then serves every size searched.  The typed engine assigns
 1-types to elements (in nondecreasing order, which breaks the full element
 permutation symmetry while staying exhaustive up to isomorphism) and then
 2-types to pairs, propagating the distinguished relation's constraints and
-filtering against the universal part pair by pair; it enumerates every pair
+filtering against the universal part pair by pair.  As soon as an element's
+later partners can no longer supply a witness it lacks, the subtree is cut:
+every leaf below it would fail the final witness test, so the search stays
+exhaustive and finds the same first model.  It enumerates every pair
 alternative directly, so it takes only signatures with few 1-types and few
 pair alternatives.  Its pair tables are built once per unordered pair of
 1-types: each candidate 2-type is read off its bits, both ways, by one truth
@@ -253,7 +256,6 @@ class _TypedEngine:
         ]
         self.full_mask = (1 << len(self.shape.thetas)) - 1
         self._pair_cache: dict[tuple[int, int], list] = {}
-        self._reach_mask: dict[int, int] = {}
         self._suffix: dict[int, list[int]] = {}
 
     def _cross_choices(self):
@@ -341,18 +343,11 @@ class _TypedEngine:
             entries.append((tau, fwd, bwd))
         return entries
 
-    def _reachable_mask(self, ti: int) -> int:
-        """Union of witness masks achievable by type ti with any partner."""
-        hit = self._reach_mask.get(ti)
-        if hit is not None:
-            return hit
-        mask = self._future_mask(ti, 0)
-        self._reach_mask[ti] = mask
-        return mask
-
     def _future_mask(self, ti: int, lo: int) -> int:
         """Union of witness masks type ti can still collect when all
-        remaining partners have type code >= lo."""
+        remaining partners have type code >= lo.  Type codes never decrease
+        along the elements, so lo = codes[j] bounds what elements j+1..n-1
+        can still give; lo = len(types) gives nothing."""
         arr = self._suffix.get(ti)
         if arr is None:
             count = len(self.types)
@@ -387,16 +382,9 @@ class _TypedEngine:
         if i == self.n:
             return self._finish()
         lo = self.codes[-1] if self.codes else 0
-        if self.full_mask:
-            # Witness feasibility for the already-placed elements: their
-            # remaining partners all carry type codes >= lo.
-            for k in range(i):
-                need = self.full_mask & ~self.wit[k]
-                if need and (self._future_mask(self.codes[k], lo) & need) != need:
-                    return None
         for code in range(lo, len(self.types)):
             self._tick()
-            if self.full_mask and self._reachable_mask(code) != self.full_mask:
+            if self.full_mask and self._future_mask(code, 0) != self.full_mask:
                 # This type can never collect all witnesses.
                 continue
             self.codes.append(code)
@@ -410,13 +398,18 @@ class _TypedEngine:
         return None
 
     def _pairs(self, j: int, i: int, eq_prefix: bool) -> Optional[Structure]:
-        # eq_prefix tracks row-lex symmetry breaking between same-type
-        # neighbours: while element j's pair row equals element j-1's over
-        # the shared columns k < j-1, later entries may not drop below the
-        # neighbour's.  Any structure can be reordered block by block to
-        # satisfy this, so the restriction is exhaustive up to isomorphism.
+        """Place element j's pairs (i, j), (i+1, j), ..., then element j+1.
+
+        eq_prefix tracks row-lex symmetry breaking between same-type
+        neighbours: while element j's pair row equals element j-1's over
+        the shared columns k < j-1, later entries may not drop below the
+        neighbour's.  Any structure can be reordered block by block to
+        satisfy this, so the restriction is exhaustive up to isomorphism.
+        Once (i, j) is placed, and at the row's end for j itself, _starved
+        cuts the subtree if the element lacks a witness its later partners
+        cannot give: every leaf below would fail _finish's witness test."""
         if i == j:
-            return self._place(j + 1)
+            return None if self._starved(j, j) else self._place(j + 1)
         entries = self._pair_entries(self.codes[i], self.codes[j])
         prev_idx = self.altidx.get((i, j - 1)) if eq_prefix and i < j - 1 else None
         for idx, (tau, fwd, bwd) in enumerate(entries):
@@ -431,9 +424,8 @@ class _TypedEngine:
                 old_wi, old_wj = self.wit[i], self.wit[j]
                 self.wit[i] |= fwd
                 self.wit[j] |= bwd
-                out = self._pairs(
-                    j, i + 1, prev_idx is not None and idx == prev_idx
-                )
+                eq = prev_idx is not None and idx == prev_idx
+                out = None if self._starved(i, j) else self._pairs(j, i + 1, eq)
                 if out is not None:
                     return out
                 self.wit[i], self.wit[j] = old_wi, old_wj
@@ -441,6 +433,15 @@ class _TypedEngine:
                 del self.altidx[(i, j)]
             self.rel[i][j] = self.rel[j][i] = False
         return None
+
+    def _starved(self, k: int, j: int) -> bool:
+        """Element k, paired with every element up to j, misses a witness
+        that elements j+1..n-1 cannot give it."""
+        need = self.full_mask & ~self.wit[k]
+        if not need:
+            return False
+        lo = self.codes[j] if j + 1 < self.n else len(self.types)
+        return need & ~self._future_mask(self.codes[k], lo) != 0
 
     def _transitive_at(self, i: int, j: int) -> bool:
         # Triangles whose three pairs are all assigned: elements k < i

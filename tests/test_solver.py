@@ -40,7 +40,7 @@ from finsat.normal_forms import (
     to_standard_nf,
     to_transitive_nf,
 )
-from finsat.parsing import parse_formula, print_formula
+from finsat.parsing import parse_formula, print_formula, write_structure
 from finsat.solver import (
     BudgetExceeded,
     SearchBudget,
@@ -67,6 +67,7 @@ from oracles import (
 )
 
 T0 = Signature((), (), DistKind.TRANSITIVE)
+T1 = Signature(("p",), (), DistKind.TRANSITIVE)
 PQR = Signature(("p", "q", "r"), (), DistKind.NONE)
 AXIOM = "forall x !t(x,x) & forall x exists y t(x,y)"
 # Three pairwise exclusive, nonempty unary predicates: the smallest model
@@ -143,6 +144,81 @@ def test_node_limit_applies_per_size_searched():
     budget = SearchBudget(max_size=4, node_limit=limit)
     assert smallest_model(phi, T0, budget) is None
     assert decide(phi, T0, "l2-1t", budget).kind == "no_model_up_to"
+
+
+def test_typed_node_counts_on_the_axiom_of_infinity():
+    # Each element's witnesses are tested as soon as its later partners can
+    # no longer supply them; a search that loses the test takes more nodes.
+    engine = _engine(parse_formula(AXIOM, T0), T0, "typed")
+    nodes = []
+    for k in range(2, 7):
+        assert engine.run(k, 10**6) is None
+        nodes.append(engine.nodes)
+    assert nodes == [5, 23, 143, 1164, 12008]
+
+
+def test_witness_pruning_cuts_only_subtrees_without_a_model(monkeypatch):
+    cases = [(random_formula(seed, sig, depth=3), sig) for sig in (T1, DIFF_SIGS["po"]) for seed in range(40)]
+
+    def search(phi, sig):
+        engine = _engine(phi, sig, "typed")
+        out = []
+        for k in (2, 3, 4):
+            m = engine.run(k, 10**7)
+            out.append((m and write_structure(m), engine.nodes if engine.types else 0))
+        return out
+
+    pruned = [search(phi, sig) for phi, sig in cases]
+    # The reference search prunes on no witness at all: neither per element
+    # nor per 1-type.  Only _finish rejects a leaf that lacks one.
+    monkeypatch.setattr(solver._TypedEngine, "_starved", lambda self, k, j: False)
+    monkeypatch.setattr(solver._TypedEngine, "_future_mask", lambda self, ti, lo: self.full_mask)
+    cut = 0
+    for (phi, sig), runs in zip(cases, pruned):
+        for (m, nodes), (m_ref, nodes_ref) in zip(runs, search(phi, sig)):
+            assert m == m_ref and nodes <= nodes_ref, print_formula(phi)
+            cut += nodes < nodes_ref
+    assert cut > 0
+
+
+def _counter_chain() -> str:
+    """a, b count 0..3 up a strictly increasing t-chain: at least 4 elements."""
+
+    def val(v: int, var: str) -> str:
+        return " & ".join(f"{'' if v >> i & 1 else '!'}{p}({var})" for i, p in enumerate("ab"))
+
+    steps = [
+        f"forall x ({val(v, 'x')} -> exists y (t(x,y) & !t(y,x) & {val(v + 1, 'y')}))"
+        for v in range(3)
+    ]
+    return " & ".join([f"exists x ({val(0, 'x')})", *steps])
+
+
+# The typed node search's hard inputs: two axioms of infinity, and a 2-bit
+# counter whose value-3 elements, and some value-0 element, carry t-loops.
+# name: (text, signature, largest size searched, smallest model size or None)
+TYPED_SEARCH_CASES = {
+    "axiom": (AXIOM, T0, 6, None),
+    "strict-successor": ("forall x exists y (t(x,y) & !t(y,x)) & forall x (t(x,x) | p(x))", T1, 5, None),
+    "counter-loop": (
+        _counter_chain() + " & forall x (a(x) & b(x) -> t(x,x)) & exists x (!a(x) & !b(x) & t(x,x))",
+        Signature(("a", "b"), (), DistKind.TRANSITIVE),
+        4,
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_SEARCH_CASES))
+def test_typed_and_ground_agree_on_the_typed_search_inputs(name):
+    text, sig, bound, smallest = TYPED_SEARCH_CASES[name]
+    phi = parse_formula(text, sig)
+    typed, ground = _engine(phi, sig, "typed"), _engine(phi, sig, "ground")
+    for k in range(2, bound + 1):
+        got = [engine.run(k, 10**7) for engine in (typed, ground)]
+        for m in got:
+            assert m is None or (m.size == k and evaluate(m, phi))
+        assert [m is not None for m in got] == [k == smallest] * 2, k
 
 
 EXPANSION_SIGS = {
